@@ -20,7 +20,6 @@ from .fields import (
     MultiquadField,
     adjoin_sqrt2,
     imaginary_labels,
-    make_field,
     real_part,
 )
 from .towerdec import PRIMITIVE, PrimePlace, PrimitivityClass
@@ -365,8 +364,3 @@ def check_propagation(
     )
     case = PROPA_B1 if other_place_behavior == "inert" else PROPA_B2
     return Verdict(True, case, tuple(evidence))
-
-
-def quadratic_field_for_label(d: int) -> MultiquadField:
-    """Convenience: the field Q(sqrt(-d)) as a MultiquadField."""
-    return make_field([-int(d)])

@@ -25,6 +25,7 @@ from .classify import (
 from .errors import EffortBoundExceeded, TheoremViolation
 from .fields import FieldSignature, make_field
 from .quadforms import (
+    MAX_POSITIVE_DISC,
     is_fundamental_discriminant,
     narrow_class_group,
     verify_2birational_quadratic_oracle,
@@ -256,6 +257,10 @@ def cmd_classgroups(bound: int, fmt: str, output: str | None) -> int:
     """CSV/JSON dump of narrow class group data for fundamental |D| <= bound."""
     if bound < 3:
         raise ValueError("bound must be >= 3")
+    if bound > MAX_POSITIVE_DISC:
+        raise ValueError(
+            f"bound {bound} exceeds the class-group enumeration limit {MAX_POSITIVE_DISC}"
+        )
     rows = []
     for D in range(-bound, bound + 1):
         if not is_fundamental_discriminant(D):

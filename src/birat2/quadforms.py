@@ -14,12 +14,22 @@ Conventions:
 * The restricted quotient Cl' divides the 2-Sylow subgroup by the 2-parts
   of the dyadic prime classes (the classes of norm-2 forms): both classes
   when 2 splits, the single one when 2 ramifies, none when 2 is inert.
+
+Composition is Dirichlet composition through two extended gcds, with no
+factorization (Cohen, *A Course in Computational Algebraic Number Theory*,
+Def. 5.4.6).  A class group is built once per discriminant together with
+an index from every reduced form (for D > 0, every member of every cycle)
+to its class representative, so canonicalisation inside a group is
+"reduce, then look up", not a cycle walk per product.  The squaring map
+x -> x^2 is tabulated once per group and shared by the structure
+computation, the 2-Sylow subgroup and the restricted quotient.
+``narrow_class_group`` caches the 256 most recently used groups.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .arith import (
@@ -31,7 +41,7 @@ from .arith import (
     squarefree_decompose,
     v2,
 )
-from .errors import EffortBoundExceeded
+from .errors import EffortBoundExceeded, TheoremViolation
 from .rayclass import AbelianGroupStructure
 
 # Enumeration bounds; exhaustive form listing is quadratic-ish in sqrt(|D|).
@@ -95,7 +105,8 @@ def reduce_definite(f: QuadForm) -> QuadForm:
     """The unique reduced representative of a positive definite class."""
     D = f.discriminant
     a, b, c = f.a, f.b, f.c
-    assert a > 0 and D < 0
+    if a <= 0 or D >= 0:
+        raise TheoremViolation(f"{f} is not positive definite")
     while True:
         if b > a or b <= -a:
             k = (b + a) // (2 * a)  # shift b into (-a, a]
@@ -110,8 +121,7 @@ def reduce_definite(f: QuadForm) -> QuadForm:
     return QuadForm(a, b, c)
 
 
-def _is_reduced_indefinite(f: QuadForm, sq: int) -> bool:
-    D = f.discriminant
+def _is_reduced_indefinite(f: QuadForm, D: int) -> bool:
     b = f.b
     if b <= 0 or b * b >= D:
         return False
@@ -122,10 +132,9 @@ def _is_reduced_indefinite(f: QuadForm, sq: int) -> bool:
     return D < (t + b) * (t + b)
 
 
-def _rho(f: QuadForm, sq: int) -> QuadForm:
+def _rho(f: QuadForm, D: int, sq: int) -> QuadForm:
     # Reduction operator for indefinite forms: (a, b, c) -> (c, r, *) with
-    # r = -b (mod 2|c|) chosen in the standard window.
-    D = f.discriminant
+    # r = -b (mod 2|c|) chosen in the standard window; sq = isqrt(D).
     c = f.c
     ac = abs(c)
     if ac * ac > D:
@@ -141,10 +150,10 @@ def reduce_indefinite(f: QuadForm) -> QuadForm:
     D = f.discriminant
     sq = math.isqrt(D)
     for _ in range(10_000):
-        if _is_reduced_indefinite(f, sq):
+        if _is_reduced_indefinite(f, D):
             return f
-        f = _rho(f, sq)
-    raise AssertionError(f"indefinite reduction did not terminate for {f}")
+        f = _rho(f, D, sq)
+    raise TheoremViolation(f"indefinite reduction did not terminate for {f}")
 
 
 def reduction_cycle(f: QuadForm) -> list[QuadForm]:
@@ -153,77 +162,27 @@ def reduction_cycle(f: QuadForm) -> list[QuadForm]:
     sq = math.isqrt(D)
     start = reduce_indefinite(f)
     cycle = [start]
-    g = _rho(start, sq)
+    g = _rho(start, D, sq)
     while g != start:
         cycle.append(g)
-        g = _rho(g, sq)
+        g = _rho(g, D, sq)
     return cycle
 
 
 def canonical_rep(f: QuadForm) -> QuadForm:
-    """Canonical representative of the proper equivalence class of f."""
+    """Canonical representative of the proper equivalence class of f.
+
+    This walks the whole reduction cycle for D > 0; a ``ClassGroup``
+    canonicalises by reducing and looking the reduced form up instead.
+    """
     if f.discriminant < 0:
         g = f if f.a > 0 else QuadForm(-f.a, f.b, -f.c)  # definite: work with positive
         return reduce_definite(g)
     return min(reduction_cycle(f), key=QuadForm.key)
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    m1, m2 = abs(m1), abs(m2)
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g:
-        raise ValueError("incompatible congruences")
-    l = m1 // g * m2
-    if m2 == g:
-        return r1 % l
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return (r1 + m1 * t) % l
-
-
-def _with_leading_coprime_to(f: QuadForm, N: int) -> QuadForm:
-    """A properly equivalent form whose leading coefficient is coprime to N."""
-    if math.gcd(f.a, N) == 1:
-        return f
-    assert f.content == 1
-    # pick (x, y) mod each prime of N so that f(x, y) is a unit mod p
-    primes = [p for p, _ in factorize(N)]
-    rad = 1
-    for p in primes:
-        rad *= p
-    x0 = y0 = 0
-    mod = 1
-    for p in primes:
-        if f.a % p:
-            xp, yp = 1, 0
-        elif f.c % p:
-            xp, yp = 0, 1
-        else:
-            xp, yp = 1, 1  # then f(1,1) = b (mod p), nonzero by primitivity
-        x0, y0 = _crt(x0, mod, xp, p), _crt(y0, mod, yp, p)
-        mod *= p
-    # make (x0, y0) primitive without disturbing the residues mod rad
-    if math.gcd(x0, y0) != 1:
-        extra = 1
-        for q, _ in factorize(x0 if x0 else 1):
-            if rad % q:
-                extra *= q
-        if extra > 1:
-            k = (1 - y0) * pow(rad, -1, extra) % extra
-            y0 += k * rad
-    assert math.gcd(x0, y0) == 1
-    # complete to a determinant-1 matrix [[x0, u], [y0, v]]
-    g, s, t = _egcd(x0, y0)
-    v, u = s, -t
-    a2 = f(x0, y0)
-    b2 = 2 * f.a * x0 * u + f.b * (x0 * v + y0 * u) + 2 * f.c * y0 * v
-    c2 = f(u, v)
-    out = QuadForm(a2, b2, c2)
-    assert out.discriminant == f.discriminant
-    assert math.gcd(a2, N) == 1
-    return out
-
-
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    # (g, s, t) with g = gcd(a, b) >= 0 and s a + t b = g
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -232,20 +191,28 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
 
 def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
-    """Gauss composition of primitive forms of equal discriminant."""
+    """Dirichlet composition of primitive forms of equal discriminant D.
+
+    With e = gcd(a1, a2, (b1 + b2)/2) = u a1 + v a2 + w (b1 + b2)/2, the
+    product is (A, B, (B^2 - D)/4A) where A = a1 a2 / e^2 and
+    B = (u a1 b2 + v a2 b1 + w (b1 b2 + D)/2) / e, taken mod 2|A|.  It holds
+    for either sign of D and of the leading coefficients.
+    """
     D = f1.discriminant
     if f2.discriminant != D:
         raise ValueError("forms must share a discriminant")
-    g2 = _with_leading_coprime_to(f2, f1.a)
-    a1, a2 = f1.a, g2.a
-    b = _crt(f1.b, 2 * a1, g2.b, 2 * a2)
-    A = a1 * a2
-    c = (b * b - D) // (4 * A)
-    return QuadForm(A, b, c)
+    a1, b1, a2, b2 = f1.a, f1.b, f2.a, f2.b
+    d, x, y = _egcd(a1, a2)
+    e, z, w = _egcd(d, (b1 + b2) // 2)  # u = z x, v = z y
+    A = a1 * a2 // (e * e)
+    B = (z * (x * a1 * b2 + y * a2 * b1) + w * ((b1 * b2 + D) // 2)) // e % (2 * abs(A))
+    return QuadForm(A, B, (B * B - D) // (4 * A))
 
 
 def _enumerate_definite(D: int) -> list[QuadForm]:
@@ -266,22 +233,18 @@ def _enumerate_definite(D: int) -> list[QuadForm]:
 
 
 def _enumerate_indefinite_reduced(D: int) -> list[QuadForm]:
+    # (a, b, c) is reduced iff 0 < b < sqrt(D) and sqrt(D) - b < 2|a| <
+    # sqrt(D) + b, that is sq - b < 2|a| <= sq + b for sq = isqrt(D) (D is
+    # not a square); the sign of a is free
     sq = math.isqrt(D)
     forms = []
     start = 1 if D % 2 else 2
     for b in range(start, sq + 1, 2):
         n = (D - b * b) // 4
-        if n <= 0:
-            continue
-        for d in range(1, math.isqrt(n) + 1):
-            if n % d:
-                continue
-            for a in {d, n // d, -d, -(n // d)}:
-                c = -n // a
-                f = QuadForm(a, b, c)
-                if f.content == 1 and _is_reduced_indefinite(f, sq):
-                    forms.append(f)
-    return sorted(set(forms), key=QuadForm.key)
+        for a in range((sq - b) // 2 + 1, (sq + b) // 2 + 1):
+            if n % a == 0 and math.gcd(math.gcd(a, b), n // a) == 1:
+                forms += (QuadForm(a, b, -(n // a)), QuadForm(-a, b, n // a))
+    return sorted(forms, key=QuadForm.key)
 
 
 def _dyadic_forms(D: int) -> list[QuadForm]:
@@ -296,6 +259,27 @@ def _dyadic_forms(D: int) -> list[QuadForm]:
     return [QuadForm(2, 2, (4 - D) // 8)]
 
 
+def _class_of(D: int, index: dict[QuadForm, QuadForm], f: QuadForm) -> QuadForm:
+    """Class representative of f: reduce it, then look the reduced form up."""
+    g = reduce_definite(f) if D < 0 else reduce_indefinite(f)
+    rep = index.get(g)
+    if rep is None:
+        raise TheoremViolation(f"D={D}: the reduced form {g} of {f} is not in the class index")
+    return rep
+
+
+def _power(x: QuadForm, n: int, mul, squares: dict[QuadForm, QuadForm]) -> QuadForm:
+    # x^n for a class representative x and n >= 1, squaring by table lookup
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else mul(out, x)
+        n >>= 1
+        if not n:
+            return out
+        x = squares[x]
+
+
 @dataclass(frozen=True)
 class ClassGroup:
     """Narrow class group of a fundamental discriminant, as a full table.
@@ -303,7 +287,9 @@ class ClassGroup:
     ``elements`` are canonical class representatives, ``invariant_factors``
     the structure d1 | d2 | ..., ``dyadic_classes`` the classes of the
     prime ideals above 2 (when 2 is not inert), ``two_sylow`` the invariant
-    factors of the 2-Sylow subgroup.
+    factors of the 2-Sylow subgroup, ``identity`` the principal class.
+    Products are composed, reduced and looked up in an index of every
+    reduced form; squares of elements come from a table built once.
     """
 
     D: int
@@ -311,31 +297,26 @@ class ClassGroup:
     invariant_factors: tuple[int, ...]
     dyadic_classes: tuple[QuadForm, ...]
     two_sylow: tuple[int, ...]
+    identity: QuadForm
+    _index: dict[QuadForm, QuadForm] = field(repr=False, compare=False)
+    _squares: dict[QuadForm, QuadForm] = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self) -> QuadForm:
-        return canonical_rep(principal_form(self.D))
-
     def mul(self, x: QuadForm, y: QuadForm) -> QuadForm:
-        return canonical_rep(compose(x, y))
+        return _class_of(self.D, self._index, compose(x, y))
 
     def inv(self, x: QuadForm) -> QuadForm:
-        return canonical_rep(x.inverse())
+        return _class_of(self.D, self._index, x.inverse())
 
     def pow(self, x: QuadForm, n: int) -> QuadForm:
         if n < 0:
-            return self.pow(self.inv(x), -n)
-        out = self.identity
-        while n:
-            if n & 1:
-                out = self.mul(out, x)
-            x = self.mul(x, x)
-            n >>= 1
-        return out
+            x, n = self.inv(x), -n
+        if n == 0:
+            return self.identity
+        return _power(_class_of(self.D, self._index, x), n, self.mul, self._squares)
 
     def element_order(self, x: QuadForm) -> int:
         t = self.order
@@ -357,9 +338,10 @@ class ClassGroup:
         return frozenset(closure)
 
     def two_sylow_elements(self) -> list[QuadForm]:
-        e = v2(self.order) if self.order > 1 else 0
-        full = 1 << e
-        return [x for x in self.elements if self.pow(x, full) == self.identity]
+        cur = self.elements
+        for _ in range(v2(self.order)):
+            cur = [self._squares[y] for y in cur]
+        return [x for x, y in zip(self.elements, cur) if y == self.identity]
 
 
 def _p_partition_from_counts(counts: list[int], p: int) -> list[int]:
@@ -369,7 +351,8 @@ def _p_partition_from_counts(counts: list[int], p: int) -> list[int]:
     for c in counts:
         val = 0
         while c > 1:
-            assert c % p == 0
+            if c % p:
+                raise TheoremViolation(f"{counts} are not torsion counts of a {p}-group")
             c //= p
             val += 1
         vs.append(val)
@@ -379,28 +362,19 @@ def _p_partition_from_counts(counts: list[int], p: int) -> list[int]:
     return [sum(1 for mk in ms if mk >= j) for j in range(1, ms[0] + 1)]
 
 
-def _structure(elements, mul, identity, h) -> tuple[int, ...]:
-    # invariant factors d1 | d2 | ... from torsion counting per prime
+def _structure(elements, squares, mul, identity, h) -> tuple[int, ...]:
+    # invariant factors d1 | d2 | ... from torsion counting per prime: the
+    # p-th power map is tabulated once and iterated e times
     if h == 1:
         return ()
     parts: dict[int, list[int]] = {}
     for p, e in factorize(h):
-        cur = {x: x for x in elements}
+        step = squares if p == 2 else {x: _power(x, p, mul, squares) for x in elements}
+        cur = elements
         counts = [1]
         for _ in range(e):
-            nxt = {}
-            for x, y in cur.items():
-                yk = y
-                out = identity
-                n = p
-                while n:
-                    if n & 1:
-                        out = mul(out, yk)
-                    yk = mul(yk, yk)
-                    n >>= 1
-                nxt[x] = out
-            cur = nxt
-            counts.append(sum(1 for y in cur.values() if y == identity))
+            cur = [step[y] for y in cur]
+            counts.append(cur.count(identity))
         parts[p] = _p_partition_from_counts(counts, p)
     rank = max(len(v) for v in parts.values())
     factors = []
@@ -414,7 +388,7 @@ def _structure(elements, mul, identity, h) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def narrow_class_group(D: int) -> ClassGroup:
     """Narrow class group of the fundamental discriminant D, fully enumerated."""
     _require_fundamental(D)
@@ -423,44 +397,47 @@ def narrow_class_group(D: int) -> ClassGroup:
             f"|D|={abs(D)} exceeds the enumeration bound "
             f"({MAX_NEGATIVE_DISC} for D<0, {MAX_POSITIVE_DISC} for D>0)"
         )
+    # index: every reduced form -> the representative of its class
     if D < 0:
         elements = tuple(_enumerate_definite(D))
+        index = {f: f for f in elements}
     else:
-        reduced = _enumerate_indefinite_reduced(D)
-        seen: set[QuadForm] = set()
+        index = {}
         reps = []
-        for f in reduced:
-            if f in seen:
+        for f in _enumerate_indefinite_reduced(D):
+            if f in index:
                 continue
             cyc = reduction_cycle(f)
-            seen.update(cyc)
-            reps.append(min(cyc, key=QuadForm.key))
+            rep = min(cyc, key=QuadForm.key)
+            index.update(dict.fromkeys(cyc, rep))
+            reps.append(rep)
         elements = tuple(sorted(reps, key=QuadForm.key))
 
-    identity = canonical_rep(principal_form(D))
-    assert identity in elements
+    identity = _class_of(D, index, principal_form(D))
+    if identity not in elements:
+        raise TheoremViolation(f"D={D}: the principal class {identity} is not an element")
 
     def mul(x: QuadForm, y: QuadForm) -> QuadForm:
-        return canonical_rep(compose(x, y))
+        return _class_of(D, index, compose(x, y))
 
+    squares = {x: mul(x, x) for x in elements}
     h = len(elements)
-    factors = _structure(elements, mul, identity, h)
-    prod = 1
-    for d in factors:
-        prod *= d
-    assert prod == h
+    factors = _structure(elements, squares, mul, identity, h)
+    if math.prod(factors) != h:
+        raise TheoremViolation(f"D={D}: invariant factors {factors} do not multiply to h={h}")
 
-    dyadic = tuple(canonical_rep(f) for f in _dyadic_forms(D))
+    dyadic = tuple(_class_of(D, index, f) for f in _dyadic_forms(D))
     for f in dyadic:
-        assert f in elements
+        if f not in elements:
+            raise TheoremViolation(f"D={D}: the dyadic class {f} is not an element")
 
     two = tuple(d for d in ((1 << v2(d)) for d in factors if d % 2 == 0))
-    group = ClassGroup(D, elements, factors, dyadic, two)
+    group = ClassGroup(D, elements, factors, dyadic, two, identity, index, squares)
 
     # light self-checks: identity and inverses on the full element list
     for x in elements:
-        assert group.mul(identity, x) == x
-        assert group.mul(x, group.inv(x)) == identity
+        if group.mul(identity, x) != x or group.mul(x, group.inv(x)) != identity:
+            raise TheoremViolation(f"D={D}: the identity or inverse law fails at {x}")
     return group
 
 
@@ -509,20 +486,22 @@ def fundamental_unit(m: int) -> FundamentalUnit:
             u = qm1 * i12 + qm2 * i22
             # B fixes the expanded irrational; check it in the basis (1, w)
             if half:
-                assert t + u - r == 0 and t * (m - 1) // 4 == sco
+                fixes = t + u - r == 0 and t * (m - 1) // 4 == sco
                 x, y = 2 * u + t, t
             else:
-                assert u == r and sco == t * m
+                fixes = u == r and sco == t * m
                 x, y = 2 * u, 2 * t
+            if not fixes:
+                raise TheoremViolation(f"m={m}: the period matrix does not fix the generator")
             if x < 0:
                 x, y = -x, -y
             norm = (x * x - m * y * y) // 4
-            assert norm in (1, -1)
             if y < 0:
                 x, y = norm * x, -norm * y
                 if x < 0:
                     x, y = -x, -y
-            assert x > 0 and y > 0 and x * x - m * y * y == 4 * norm
+            if norm not in (1, -1) or x <= 0 or y <= 0 or x * x - m * y * y != 4 * norm:
+                raise TheoremViolation(f"m={m}: ({x} + {y} sqrt(m))/2 is not a unit")
             return FundamentalUnit(m, x, y, norm)
         seen[state] = (pm1, pm2, qm1, qm2)
         a = (P + sq) // Q
@@ -551,11 +530,10 @@ def restricted_2class_quotient(D: int) -> tuple[AbelianGroupStructure, bool]:
     H = group.subgroup(gens)
     quotient_size = len(sylow) // len(H)
     counts = [1]
-    cur = {x: x for x in sylow}
+    cur = sylow
     while counts[-1] < quotient_size:
-        nxt = {x: group.mul(y, y) for x, y in cur.items()}
-        cur = nxt
-        counts.append(sum(1 for y in cur.values() if y in H) // len(H))
+        cur = [group._squares[y] for y in cur]
+        counts.append(sum(1 for y in cur if y in H) // len(H))
     exps = _p_partition_from_counts(counts, 2)
     factors = tuple(sorted(1 << e for e in exps))
     return AbelianGroupStructure(factors), unique_dyadic

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from birat2.cli import main
 
@@ -178,6 +179,14 @@ def test_classgroups_csv(capsys):
     assert rows["-23"] == "-23,3,0,3;3"
     assert rows["-4"] == "-4,,0,1"
     assert rows["28"] == "28,2,1,1"
+
+
+def test_classgroups_bound_rejected_up_front(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classgroups", "--bound", "150000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "limit" in err and err.count("\n") == 1
 
 
 def test_module_entrypoint_subprocess():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from birat2 import (
     FundamentalUnit,
     QuadForm,
+    TheoremViolation,
     fundamental_unit,
     genus_2rank,
     is_fundamental_discriminant,
@@ -15,6 +17,7 @@ from birat2 import (
     verify_2birational_quadratic_oracle,
     verify_2rational_quadratic,
 )
+from birat2 import quadforms
 from birat2.quadforms import canonical_rep, compose, principal_form, reduction_cycle
 
 
@@ -85,6 +88,7 @@ def test_real_narrow_vs_ordinary_and_unit_norm():
 
 
 def test_composition_group_laws():
+    # the indexed product agrees with the cycle-walk canonicalisation
     rng = random.Random(7)
     for D in fundamental_discs(-400, 400):
         group = narrow_class_group(D)
@@ -95,6 +99,7 @@ def test_composition_group_laws():
             for y in els:
                 z = group.mul(x, y)
                 assert z in set(els), (D, x, y)
+                assert z == canonical_rep(compose(x, y)), (D, x, y)
                 table[(x, y)] = z
         for x in els:
             for y in els:
@@ -119,6 +124,65 @@ def test_composition_closure_full_tables_to_1e4():
                 z = g.mul(x, y)
                 assert z in elset, (D, x, y)
                 assert g.mul(y, x) == z, (D, x, y)
+
+
+def assert_dirichlet_product(f1, f2):
+    # the product is primitive of discriminant D, leads with a1 a2 / e^2 and
+    # is united with both factors: B = b1 (mod 2 a1/e), B = b2 (mod 2 a2/e)
+    D = f1.discriminant
+    e = math.gcd(math.gcd(f1.a, f2.a), (f1.b + f2.b) // 2)
+    F = compose(f1, f2)
+    assert F.discriminant == D and F.content == 1, (f1, f2, F)
+    assert F.a == f1.a * f2.a // (e * e), (f1, f2, F)
+    assert (F.b - f1.b) % (2 * f1.a // e) == 0, (f1, f2, F)
+    assert (F.b - f2.b) % (2 * f2.a // e) == 0, (f1, f2, F)
+    return e
+
+
+def test_compose_with_shared_leading_factor():
+    seen = set()
+    for D in fundamental_discs(-400, 400):
+        els = narrow_class_group(D).elements
+        for x in els:
+            for y in els:
+                if math.gcd(x.a, y.a) > 1:
+                    e = assert_dirichlet_product(x, y)
+                    seen.add((D > 0, e > 1))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    # squaring a form whose a is even: the ramified dyadic class of -84
+    g = narrow_class_group(-84)
+    f = QuadForm(2, 2, 11)
+    assert assert_dirichlet_product(f, f) == 2
+    assert g.mul(f, f) == g.identity
+    # classes sharing the odd prime 3 in a: (3, +-1, 4) of -47 (h = 5)
+    g = narrow_class_group(-47)
+    f = QuadForm(3, 1, 4)
+    assert assert_dirichlet_product(f, f) == 1
+    assert assert_dirichlet_product(f, f.inverse()) == 3
+    assert g.mul(f, f.inverse()) == g.identity
+    assert g.mul(f, f) not in (g.identity, f, g.inv(f))
+    # indefinite leading coefficients of both signs sharing 3: D = 229
+    f1, f2 = QuadForm(3, 13, -5), QuadForm(-3, 13, 5)
+    assert f1.discriminant == f2.discriminant == 229
+    assert assert_dirichlet_product(f1, f2) == 1
+    assert assert_dirichlet_product(f1, QuadForm(-3, -13, 5)) == 3
+
+
+def test_self_checks_raise_theorem_violation(monkeypatch):
+    # raised, not asserted, so they hold under python -O
+    narrow_class_group.cache_clear()
+    try:
+        monkeypatch.setattr(quadforms, "_structure", lambda *args: (2,))
+        with pytest.raises(TheoremViolation, match="D=-23"):
+            narrow_class_group(-23)
+        monkeypatch.undo()
+        group = narrow_class_group(-23)
+        broken = dataclasses.replace(group, _index={})
+        with pytest.raises(TheoremViolation, match=r"D=-23.*QuadForm"):
+            broken.mul(group.identity, group.identity)
+    finally:
+        narrow_class_group.cache_clear()
 
 
 def test_invariant_factor_chain_and_order():
