@@ -38,6 +38,7 @@ SCHEMA = 1
 
 ENUMERATE_MAX_BOUND = 10_000_000
 VERIFY_MAX_BOUND = 10_000
+RAYCLASS_MAX_LEVELS = 24  # the 2-power dlog is linear in 2^levels
 RAYCLASS_PAIR_BOUND = 200
 
 
@@ -233,6 +234,8 @@ def cmd_kprime(p: int, q: int, output: str | None) -> int:
 
 
 def cmd_rayclass(p: int, q: int, levels: int, table: bool, output: str | None) -> int:
+    if not 5 <= levels <= RAYCLASS_MAX_LEVELS:
+        raise ValueError(f"--levels must be in 5..{RAYCLASS_MAX_LEVELS}, got {levels}")
     report = ray_quotient_report(p, q, k_max=levels)
     if table:
         row = {
@@ -270,7 +273,7 @@ def cmd_classgroups(bound: int, fmt: str, output: str | None) -> int:
             {
                 "D": D,
                 "invariant_factors": ";".join(map(str, group.invariant_factors)),
-                "two_rank": sum(1 for d in group.invariant_factors if d % 2 == 0),
+                "two_rank": len(group.two_sylow),
                 "dyadic_class_orders": ";".join(
                     str(group.element_order(c)) for c in group.dyadic_classes
                 ),
@@ -332,9 +335,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # let "classify -7" work: everything after the subcommand is positional
-    if "classify" in argv and "--" not in argv:
-        argv.insert(argv.index("classify") + 1, "--")
+    # let "classify -7" work: everything after the subcommand is positional;
+    # the subcommand is the first token that is neither an option nor the
+    # value of --output (or an abbreviation of it)
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 2 if len(argv[i]) > 2 and "--output".startswith(argv[i]) else 1
+    if argv[i : i + 1] == ["classify"] and "--" not in argv:
+        argv.insert(i + 1, "--")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -356,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "classgroups":
             return cmd_classgroups(args.bound, args.format, args.output)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ValueError, OverflowError, EffortBoundExceeded, TheoremViolation) as exc:
+    except (ValueError, OverflowError, OSError, EffortBoundExceeded, TheoremViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,8 @@ an index from every reduced form (for D > 0, every member of every cycle)
 to its class representative, so canonicalisation inside a group is
 "reduce, then look up", not a cycle walk per product.  The squaring map
 x -> x^2 is tabulated once per group and shared by the structure
-computation, the 2-Sylow subgroup and the restricted quotient.
+computation, the 2-Sylow subgroup and the restricted quotient; torsion
+counts feed ``abelian``, which owns the invariant-factor normal form.
 ``narrow_class_group`` caches the 256 most recently used groups.
 """
 
@@ -32,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .abelian import AbelianGroupStructure
 from .arith import (
     SquarefreeInt,
     factorize,
@@ -42,7 +44,6 @@ from .arith import (
     v2,
 )
 from .errors import EffortBoundExceeded, TheoremViolation
-from .rayclass import AbelianGroupStructure
 
 # Enumeration bounds; exhaustive form listing is quadratic-ish in sqrt(|D|).
 MAX_NEGATIVE_DISC = 4_000_000
@@ -344,48 +345,25 @@ class ClassGroup:
         return [x for x, y in zip(self.elements, cur) if y == self.identity]
 
 
-def _p_partition_from_counts(counts: list[int], p: int) -> list[int]:
-    # counts[k] = number of solutions of x^(p^k) = 1 for k = 0..; returns the
-    # exponent partition e_1 >= e_2 >= ... of the p-group
-    vs = []
-    for c in counts:
-        val = 0
-        while c > 1:
-            if c % p:
-                raise TheoremViolation(f"{counts} are not torsion counts of a {p}-group")
-            c //= p
-            val += 1
-        vs.append(val)
-    ms = [vs[k] - vs[k - 1] for k in range(1, len(vs))]
-    if not ms or ms[0] == 0:
-        return []
-    return [sum(1 for mk in ms if mk >= j) for j in range(1, ms[0] + 1)]
+def _torsion_counts(elements, step, kernel, e) -> list[int]:
+    # counts[k] = #{x : step^k(x) in kernel} / |kernel| for k = 0..e, where
+    # step is a tabulated p-th power map and kernel a subgroup of elements
+    counts = [1]
+    cur = elements
+    for _ in range(e):
+        cur = [step[y] for y in cur]
+        counts.append(sum(1 for y in cur if y in kernel) // len(kernel))
+    return counts
 
 
 def _structure(elements, squares, mul, identity, h) -> tuple[int, ...]:
     # invariant factors d1 | d2 | ... from torsion counting per prime: the
     # p-th power map is tabulated once and iterated e times
-    if h == 1:
-        return ()
-    parts: dict[int, list[int]] = {}
-    for p, e in factorize(h):
+    counts = {}
+    for p, e in factorize(h) if h > 1 else []:
         step = squares if p == 2 else {x: _power(x, p, mul, squares) for x in elements}
-        cur = elements
-        counts = [1]
-        for _ in range(e):
-            cur = [step[y] for y in cur]
-            counts.append(cur.count(identity))
-        parts[p] = _p_partition_from_counts(counts, p)
-    rank = max(len(v) for v in parts.values())
-    factors = []
-    for i in range(rank):
-        d = 1
-        for p, exps in parts.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        factors.append(d)
-    factors.reverse()  # ascending divisibility
-    return tuple(factors)
+        counts[p] = _torsion_counts(elements, step, {identity}, e)
+    return AbelianGroupStructure.from_torsion_counts(counts).invariant_factors
 
 
 @lru_cache(maxsize=256)
@@ -431,7 +409,7 @@ def narrow_class_group(D: int) -> ClassGroup:
         if f not in elements:
             raise TheoremViolation(f"D={D}: the dyadic class {f} is not an element")
 
-    two = tuple(d for d in ((1 << v2(d)) for d in factors if d % 2 == 0))
+    two = AbelianGroupStructure(factors).two_part.invariant_factors
     group = ClassGroup(D, elements, factors, dyadic, two, identity, index, squares)
 
     # light self-checks: identity and inverses on the full element list
@@ -529,22 +507,16 @@ def restricted_2class_quotient(D: int) -> tuple[AbelianGroupStructure, bool]:
     ]
     H = group.subgroup(gens)
     quotient_size = len(sylow) // len(H)
-    counts = [1]
-    cur = sylow
-    while counts[-1] < quotient_size:
-        cur = [group._squares[y] for y in cur]
-        counts.append(sum(1 for y in cur if y in H) // len(H))
-    exps = _p_partition_from_counts(counts, 2)
-    factors = tuple(sorted(1 << e for e in exps))
-    return AbelianGroupStructure(factors), unique_dyadic
+    counts = _torsion_counts(sylow, group._squares, H, v2(quotient_size))
+    structure = AbelianGroupStructure.from_torsion_counts({2: counts})
+    if structure.order != quotient_size:
+        raise TheoremViolation(f"D={D}: Cl' has order {structure.order}, not {quotient_size}")
+    return structure, unique_dyadic
 
 
 def verify_2rational_quadratic(m: int | SquarefreeInt) -> bool:
     """Oracle for 2-rationality of Q(sqrt(m)): unique dyadic place and Cl' = 1."""
-    m = int(m)
-    if m in (0, 1):
-        raise ValueError(f"m={m} does not label a quadratic field")
-    structure, unique_dyadic = restricted_2class_quotient(field_discriminant(m))
+    structure, unique_dyadic = restricted_2class_quotient(field_discriminant(int(m)))
     return structure.is_trivial and unique_dyadic
 
 

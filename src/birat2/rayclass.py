@@ -7,7 +7,7 @@ large enough.  This module computes those quotients by exponent-lattice
 reduction (Smith normal form), checks the stabilized structure (cyclic of
 order 2^v2(p-1)), finds the real quadratic field realizing the quadratic
 subextension, and verifies the reflection identities that make the whole
-construction tick.
+construction tick.  The invariant-factor normal form comes from ``abelian``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .abelian import AbelianGroupStructure
 from .arith import (
     SquarefreeInt,
     check_odd_prime,
@@ -26,43 +27,6 @@ from .arith import (
 )
 from .errors import TheoremViolation
 from .towerdec import primitivity_over_Q
-
-
-@dataclass(frozen=True)
-class AbelianGroupStructure:
-    """A finite abelian group by invariant factors d1 | d2 | ... (each >= 2)."""
-
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = None
-        for d in self.invariant_factors:
-            if d < 2:
-                raise ValueError(f"invariant factor {d} < 2")
-            if prev is not None and d % prev:
-                raise ValueError(
-                    f"divisibility chain broken: {prev} does not divide {d}"
-                )
-            prev = d
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
-    @property
-    def is_cyclic(self) -> bool:
-        return len(self.invariant_factors) <= 1
-
-    @property
-    def two_rank(self) -> int:
-        return sum(1 for d in self.invariant_factors if d % 2 == 0)
 
 
 @dataclass(frozen=True)
@@ -103,7 +67,9 @@ class UnitGroupMod:
                         break
                     power = power * 5 % M2
                 else:
-                    raise AssertionError(f"dlog failed for {x} mod {M2}")
+                    raise TheoremViolation(
+                        f"dlog of {x} mod {self.modulus}: {x2} is not +-5^b mod {M2}"
+                    )
         pa = self._odd_prime_power
         if pa > 1:
             xp = x % pa
@@ -115,7 +81,9 @@ class UnitGroupMod:
                     break
                 power = power * g % pa
             else:
-                raise AssertionError(f"dlog failed for {x} mod {pa}")
+                raise TheoremViolation(
+                    f"dlog of {x} mod {self.modulus}: {xp} is not a power of {g} mod {pa}"
+                )
         return tuple(exps)
 
 
@@ -128,7 +96,7 @@ def _primitive_root_mod_prime_power(p: int, a: int) -> int:
             continue
         if all(pow(g, phi // r, pa) != 1 for r in prime_divs):
             return g
-    raise AssertionError(f"no primitive root mod {pa}")
+    raise TheoremViolation(f"no primitive root mod {p}^{a} = {pa}")
 
 
 def units_mod(M: int) -> UnitGroupMod:
@@ -153,8 +121,8 @@ def units_mod(M: int) -> UnitGroupMod:
         # CRT lift to mod M
         x = 0
         if M2 > 1 and pa > 1:
-            g = math.gcd(M2, pa)
-            assert g == 1
+            if math.gcd(M2, pa) != 1:
+                raise TheoremViolation(f"CRT moduli {M2} and {pa} of {M} are not coprime")
             x = (residue_two * pa * pow(pa, -1, M2) + residue_odd * M2 * pow(M2, -1, pa)) % M
         elif M2 > 1:
             x = residue_two % M
@@ -187,7 +155,7 @@ def smith_invariant_factors(rows: list[list[int]], ngens: int) -> tuple[int, ...
     while t < n:
         guard += 1
         if guard > 10_000:
-            raise AssertionError("Smith reduction did not converge")
+            raise TheoremViolation(f"Smith reduction of {rows} on {ngens} gens did not converge")
         pivot = None
         for i in range(t, len(m)):
             for j in range(t, n):
@@ -223,17 +191,7 @@ def smith_invariant_factors(rows: list[list[int]], ngens: int) -> tuple[int, ...
         t += 1
     if any(d == 0 for d in diag):
         raise ValueError("quotient is infinite: relation lattice not of full rank")
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if b % a:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-    return tuple(d for d in diag if d > 1)
+    return AbelianGroupStructure.from_cyclic_orders(diag).invariant_factors
 
 
 @dataclass(frozen=True)
@@ -259,14 +217,18 @@ class RayClassReport:
         }
 
 
-def _require_primitive(q: int, name: str) -> int:
-    q = check_odd_prime(q, name)
-    cls = primitivity_over_Q(q)
-    if not cls.is_primitive:
-        raise ValueError(
-            f"{name}={q} is not primitive ({q} mod 8 = {q % 8}; it is {cls})"
-        )
-    return q
+def _require_primitive_pair(p: int, q: int) -> tuple[int, int]:
+    # p and q as ints, checked in turn: odd prime, primitive; then distinct
+    pair = []
+    for name, r in (("p", p), ("q", q)):
+        r = check_odd_prime(r, name)
+        cls = primitivity_over_Q(r)
+        if not cls.is_primitive:
+            raise ValueError(f"{name}={r} is not primitive ({r} mod 8 = {r % 8}; it is {cls})")
+        pair.append(r)
+    if pair[0] == pair[1]:
+        raise ValueError("p and q must be distinct")
+    return pair[0], pair[1]
 
 
 def ray_quotient_report(p: int, q: int, k_max: int = 8) -> RayClassReport:
@@ -275,10 +237,7 @@ def ray_quotient_report(p: int, q: int, k_max: int = 8) -> RayClassReport:
     For primitive p and q the structure stabilizes to a cyclic group of
     order 2^v2(p-1); any other outcome raises TheoremViolation.
     """
-    p = _require_primitive(p, "p")
-    q = _require_primitive(q, "q")
-    if p == q:
-        raise ValueError("p and q must be distinct")
+    p, q = _require_primitive_pair(p, q)
     if k_max < 5:
         raise ValueError(f"k_max must be >= 5, got {k_max}")
 
@@ -294,8 +253,7 @@ def ray_quotient_report(p: int, q: int, k_max: int = 8) -> RayClassReport:
         rows.append(list(units.dlog(M - 1)))
         rows.append(list(units.dlog(q % M)))
         factors = smith_invariant_factors(rows, len(orders))
-        two_part = tuple((1 << v2(d)) for d in factors if d % 2 == 0)
-        per_level.append((k, AbelianGroupStructure(two_part)))
+        per_level.append((k, AbelianGroupStructure(factors).two_part))
 
     final = per_level[-1][1]
     if per_level[-2][1] != final:
@@ -320,10 +278,7 @@ def find_propagation_field(p: int, q: int) -> SquarefreeInt:
     primitive q is inert, so exactly one of the two splits q.  The returned
     field automatically has a unique dyadic place.
     """
-    p = _require_primitive(p, "p")
-    q = _require_primitive(q, "q")
-    if p == q:
-        raise ValueError("p and q must be distinct")
+    p, q = _require_primitive_pair(p, q)
     candidates = [p, 2 * p]
     symbols = {m: kronecker(field_discriminant(m), q) for m in candidates}
     split = [m for m, s in symbols.items() if s == 1]
@@ -348,10 +303,7 @@ def mirror_group_trivial(q: int, p: int) -> bool:
     also kills -1 and p is checked to agree, and a disagreement raises
     TheoremViolation.
     """
-    q = _require_primitive(q, "q")
-    p = _require_primitive(p, "p")
-    if p == q:
-        raise ValueError("p and q must be distinct")
+    p, q = _require_primitive_pair(p, q)
     full = v2(q - 1)
     strong = v2(multiplicative_order(2, q)) == full
     # alternative reading: quotient additionally by -1 and p; in the cyclic

@@ -30,6 +30,7 @@ from .arith import (
     squarefree_decompose,
     v2,
 )
+from .errors import TheoremViolation
 
 DEFAULT_DEPTH = 6
 
@@ -105,8 +106,9 @@ class PrimitivityClass:
         return cls(SEMI_PRIMITIVE, 1)
 
     @classmethod
-    def imprimitive(cls, split_depth: int) -> "PrimitivityClass":
-        return cls(IMPRIMITIVE, split_depth)
+    def from_split_depth(cls, split_depth: int) -> "PrimitivityClass":
+        kind = {0: PRIMITIVE, 1: SEMI_PRIMITIVE}.get(split_depth, IMPRIMITIVE)
+        return cls(kind, split_depth)
 
     @property
     def is_primitive(self) -> bool:
@@ -164,12 +166,7 @@ def primitivity_over_Q(q: int | OddPrime) -> PrimitivityClass:
     """Primitivity of the place q of Q: primitive iff q = +-3 (mod 8),
     semi-primitive iff q = +-7 (mod 16), imprimitive otherwise."""
     q = check_odd_prime(q)
-    depth = _sign_level(q) - 2
-    if depth == 0:
-        return PrimitivityClass.primitive()
-    if depth == 1:
-        return PrimitivityClass.semi_primitive()
-    return PrimitivityClass.imprimitive(depth)
+    return PrimitivityClass.from_split_depth(_sign_level(q) - 2)
 
 
 def prime_place(q: int | OddPrime, depth: int = DEFAULT_DEPTH) -> PrimePlace:
@@ -213,14 +210,7 @@ def place_primitivity_in_quadratic(
     for n, fr in enumerate(rel_f, start=1):
         expected = 1 if n <= split_depth else 1 << (n - split_depth)
         if fr != expected:
-            raise AssertionError(
-                f"profile/congruence mismatch for m={m}, q={q} at layer {n}"
+            raise TheoremViolation(
+                f"profile/congruence mismatch for m={m}, q={q} at layer {n}: {fr} != {expected}"
             )
-
-    if split_depth == 0:
-        cls = PrimitivityClass.primitive()
-    elif split_depth == 1:
-        cls = PrimitivityClass.semi_primitive()
-    else:
-        cls = PrimitivityClass.imprimitive(split_depth)
-    return (SPLIT if symbol == 1 else INERT), cls
+    return (SPLIT if symbol == 1 else INERT), PrimitivityClass.from_split_depth(split_depth)

@@ -197,3 +197,30 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kprime"] == 3
+
+
+def test_unwritable_output_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "--output", str(target), "kprime", "--p", "3", "--q", "5")
+    assert code == 2 and out == "" and not target.exists()
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_classify_spec_after_output_named_classify(capsys, tmp_path, monkeypatch):
+    # "--" goes after the subcommand, not after an --output value equal to it
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "--output", "classify", "classify", "-7")
+    assert code == 0 and out == ""
+    assert json.loads((tmp_path / "classify").read_text())["case"] == "BIR_A_I"
+    code, out, _ = run_cli(capsys, "classify", "-15,6")
+    assert code == 0 and json.loads(out)["field"] == [6, -15]
+
+
+def test_rayclass_levels_rejected_up_front(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "rayclass", "--p", "3", "--q", "11", "--levels", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "levels" in err and err.count("\n") == 1
+    code, _, _ = run_cli(capsys, "rayclass", "--p", "3", "--q", "11", "--levels", "4")
+    assert code == 2

@@ -1,6 +1,6 @@
 """Behaviour gate: the stdout of fixed CLI runs, pinned by sha256.
 
-A performance change must leave these payloads byte-identical.
+A performance change or a refactor must leave these payloads byte-identical.
 """
 
 import hashlib
@@ -15,6 +15,18 @@ GOLDEN = {
     ),
     ("classgroups", "--bound", "3000", "--format", "csv"): (
         "d8184e4460aeee6c3098f2071023d6d19ddc934f9548445b58ceb99791f9d055"
+    ),
+    ("rayclass", "--p", "5", "--q", "3", "--levels", "12"): (
+        "aa92c7e78a9d5f3c2ff4b41ba29aac10e78df3079a1278a64d8f3fc264ad2fb5"
+    ),
+    ("rayclass", "--p", "3", "--q", "5", "--levels", "12", "--table"): (
+        "48e81783954529aeae223aa012dc9eaad872508050862554f1a083895f048410"
+    ),
+    ("tower", "--p", "3", "--q", "5", "--choices", "PQP", "--realize"): (
+        "6bbed389d60d882480bdbf3fe13c5b27338e942a92e9be3fec70994b0d3cfe7b"
+    ),
+    ("tower", "--p", "11", "--q", "13", "--choices", "QP", "--realize"): (
+        "198e5dfe31f24f11002283417b8320285cd00b7b115e2610c4b7c9b3e74e4d7c"
     ),
 }
 

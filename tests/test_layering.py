@@ -1,0 +1,47 @@
+"""Import layering of the package, read from the source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import birat2
+
+PACKAGE = Path(birat2.__file__).parent
+
+
+def package_imports(module):
+    """The birat2 modules that ``module`` imports directly."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level == 1:
+                out.update(alias.name for alias in node.names)
+            elif (node.module or "").startswith("birat2."):
+                out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("birat2."))
+    return out
+
+
+def import_closure(module):
+    seen, todo = set(), [module]
+    while todo:
+        for dep in package_imports(todo.pop()):
+            if dep not in seen:
+                seen.add(dep)
+                todo.append(dep)
+    return seen
+
+
+def test_oracles_never_reach_the_classifiers():
+    for oracle in ("quadforms", "rayclass", "abelian"):
+        reached = import_closure(oracle)
+        assert not reached & {"classify", "fields", "tower"}, (oracle, sorted(reached))
+
+
+def test_form_oracle_does_not_import_the_ray_oracle():
+    assert "rayclass" not in import_closure("quadforms")
+    assert "abelian" in package_imports("quadforms")
+    assert "abelian" in package_imports("rayclass")

@@ -302,6 +302,11 @@ def test_two_sylow_field():
     assert g.invariant_factors == (2, 2)
     assert g.two_sylow == (2, 2)
     assert len(g.two_sylow_elements()) == 4
+    # invariant factors with odd parts: the 2-parts, and the matching order
+    for D, factors, two in [(-2991, (48,), (16,)), (-2964, (2, 2, 6), (2, 2, 2)), (316, (6,), (2,))]:
+        g = narrow_class_group(D)
+        assert (g.invariant_factors, g.two_sylow) == (factors, two)
+        assert len(g.two_sylow_elements()) == math.prod(two)
 
 
 def test_cycle_reduction_roundtrip():

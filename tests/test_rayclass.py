@@ -1,9 +1,13 @@
+import dataclasses
 import math
+import subprocess
+import sys
 
 import pytest
 
 from birat2 import (
     AbelianGroupStructure,
+    TheoremViolation,
     field_discriminant,
     find_propagation_field,
     kronecker,
@@ -60,6 +64,24 @@ def test_units_mod_dlog_roundtrip():
                 assert 0 <= e < n
                 value = value * pow(g, e, M) % M
             assert value == x % M, (M, x)
+
+
+def test_dlog_failure_raises_theorem_violation():
+    # raised, not asserted, so it holds under python -O as well
+    broken = dataclasses.replace(units_mod(24), _odd_generator=1)
+    with pytest.raises(TheoremViolation, match="dlog of 5 mod 24"):
+        broken.dlog(5)
+    script = (
+        "import dataclasses\n"
+        "from birat2 import TheoremViolation, units_mod\n"
+        "try:\n"
+        "    dataclasses.replace(units_mod(24), _odd_generator=1).dlog(5)\n"
+        "except TheoremViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_smith_invariant_factors_known_cases():

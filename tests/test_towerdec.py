@@ -2,12 +2,14 @@ import pytest
 
 from birat2 import (
     PrimitivityClass,
+    TheoremViolation,
     decomposition_profile,
     place_primitivity_in_quadratic,
     prime_place,
     primes_up_to,
     primitivity_over_Q,
 )
+from birat2 import towerdec
 from birat2.towerdec import INERT, RAMIFIED, SPLIT
 
 
@@ -109,6 +111,22 @@ def test_place_primitivity_ramified_and_errors():
         place_primitivity_in_quadratic(1, 3)
     with pytest.raises(ValueError):
         place_primitivity_in_quadratic(12, 5)  # not squarefree
+
+
+def test_place_primitivity_mismatch_raises_theorem_violation(monkeypatch):
+    # a profile that contradicts the congruence shortcut is a raised self-check
+    monkeypatch.setattr(towerdec, "_order_mod_2power_up_to_sign", lambda q, n: 1)
+    with pytest.raises(TheoremViolation, match="m=10, q=3 at layer 1"):
+        place_primitivity_in_quadratic(10, 3)
+
+
+def test_from_split_depth():
+    assert PrimitivityClass.from_split_depth(0) == PrimitivityClass.primitive()
+    assert PrimitivityClass.from_split_depth(1) == PrimitivityClass.semi_primitive()
+    cls = PrimitivityClass.from_split_depth(3)
+    assert cls.kind == "imprimitive" and cls.split_depth == 3
+    with pytest.raises(ValueError):
+        PrimitivityClass.from_split_depth(-1)
 
 
 def test_split_places_inherit_base_class():
