@@ -38,7 +38,7 @@ SCHEMA = 1
 
 ENUMERATE_MAX_BOUND = 10_000_000
 VERIFY_MAX_BOUND = 10_000
-RAYCLASS_MAX_LEVELS = 24  # the 2-power dlog is linear in 2^levels
+RAYCLASS_MAX_LEVELS = 24  # caps the levels in the report, one Smith reduction each
 RAYCLASS_PAIR_BOUND = 200
 
 
@@ -337,11 +337,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # let "classify -7" work: everything after the subcommand is positional;
     # the subcommand is the first token that is neither an option nor the
-    # value of --output (or an abbreviation of it)
+    # value of --output (or an abbreviation of it); a help flag after it
+    # stays an option
     i = 0
     while i < len(argv) and argv[i].startswith("-"):
         i += 2 if len(argv[i]) > 2 and "--output".startswith(argv[i]) else 1
-    if argv[i : i + 1] == ["classify"] and "--" not in argv:
+    rest = argv[i + 1 :]
+    wants_help = any(a == "-h" or len(a) > 2 and "--help".startswith(a) for a in rest)
+    if argv[i : i + 1] == ["classify"] and "--" not in argv and not wants_help:
         argv.insert(i + 1, "--")
     parser = _build_parser()
     try:

@@ -8,12 +8,20 @@ reduction (Smith normal form), checks the stabilized structure (cyclic of
 order 2^v2(p-1)), finds the real quadratic field realizing the quadratic
 subextension, and verifies the reflection identities that make the whole
 construction tick.  The invariant-factor normal form comes from ``abelian``.
+
+Discrete logarithms in (Z/2^k p^a)* are taken by Pohlig-Hellman (Pohlig and
+Hellman, IEEE Trans. IT 24, 1978; Cohen, GTM 138, 1.6): the exponent of 5
+bit by bit in O(k) squarings, the odd part one digit per prime power of
+phi(p^a), each by baby-step/giant-step.  A report takes one presentation
+at its top level and reduces the exponents to each lower level, so its
+work is polynomial in log p and k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abelian import AbelianGroupStructure
 from .arith import (
@@ -35,7 +43,7 @@ class UnitGroupMod:
 
     ``generators`` lists (element, order) pairs whose cyclic spans give the
     whole group as a direct product; ``dlog`` writes any unit in terms of
-    them.
+    them, with each exponent in [0, order).
     """
 
     modulus: int
@@ -43,6 +51,7 @@ class UnitGroupMod:
     _two_exp: int
     _odd_prime_power: int
     _odd_generator: int
+    _odd_order_factors: tuple[tuple[int, int], ...]  # factorisation of phi(p^a)
 
     def dlog(self, x: int) -> tuple[int, ...]:
         x = x % self.modulus
@@ -53,49 +62,123 @@ class UnitGroupMod:
         if k >= 2:
             M2 = 1 << k
             x2 = x % M2
-            if k == 2:
-                exps.append(0 if x2 == 1 else 1)
-            else:
-                order5 = 1 << (k - 2)
-                power = 1
-                for b in range(order5):
-                    if power == x2:
-                        exps.extend([0, b])
-                        break
-                    if M2 - power == x2:
-                        exps.extend([1, b])
-                        break
-                    power = power * 5 % M2
-                else:
+            sign = 0 if x2 % 4 == 1 else 1
+            exps.append(sign)
+            if k >= 3:
+                b = _dlog_five(M2 - x2 if sign else x2, k)
+                power = pow(5, b, M2)
+                if (M2 - power if sign else power) != x2:
                     raise TheoremViolation(
                         f"dlog of {x} mod {self.modulus}: {x2} is not +-5^b mod {M2}"
                     )
+                exps.append(b)
         pa = self._odd_prime_power
         if pa > 1:
             xp = x % pa
             g = self._odd_generator
-            power = 1
-            for e in range(pa):  # order divides phi(pa) < pa
-                if power == xp:
-                    exps.append(e)
-                    break
-                power = power * g % pa
-            else:
+            e = _pohlig_hellman(xp, pa, self.generators[-1][1], self._odd_log_tables)
+            if e is None or pow(g, e, pa) != xp:
                 raise TheoremViolation(
                     f"dlog of {x} mod {self.modulus}: {xp} is not a power of {g} mod {pa}"
                 )
+            exps.append(e)
         return tuple(exps)
 
+    @cached_property
+    def _odd_log_tables(self) -> tuple[_PrimeLogTable, ...]:
+        g, pa, factors = self._odd_generator, self._odd_prime_power, self._odd_order_factors
+        phi = math.prod(r**e for r, e in factors)
+        return tuple(_PrimeLogTable.build(g, pa, phi, r, e) for r, e in factors)
 
-def _primitive_root_mod_prime_power(p: int, a: int) -> int:
+
+def _dlog_five(y: int, k: int) -> int:
+    """The b in [0, 2^(k-2)) with 5^b = y mod 2^k, for y = 1 mod 4 and k >= 3.
+
+    5^(2^i) = 1 + 2^(i+2) mod 2^(i+3), so once the bits of b below i are
+    divided out of y, bit i of b is bit i+2 of what is left.
+    """
+    M2 = 1 << k
+    step = pow(5, -1, M2)  # 5^(-2^i), squared as i grows
+    b = 0
+    for i in range(k - 2):
+        if (y >> (i + 2)) & 1:
+            b |= 1 << i
+            y = y * step % M2
+        step = step * step % M2
+    return b
+
+
+@dataclass(frozen=True)
+class _PrimeLogTable:
+    """What Pohlig-Hellman needs, per prime power r^e exactly dividing the
+    order n of g mod m, to read off the exponent of g modulo r^e."""
+
+    r: int
+    e: int
+    cofactor: int  # n / r^e: raising to it projects onto the order-r^e part
+    crt: int  # = 1 mod r^e and = 0 mod n / r^e
+    g_r_inv: int  # g^(-n/r^e), inverse of that part's generator
+    baby: dict[int, int]  # gamma^i -> i for i < steps, gamma = g^(n/r) of order r
+    steps: int  # ceil(sqrt(r)), so steps^2 >= r
+    giant: int  # gamma^(-steps)
+
+    @classmethod
+    def build(cls, g: int, m: int, n: int, r: int, e: int) -> _PrimeLogTable:
+        re = r**e
+        cofactor = n // re
+        g_r = pow(g, cofactor, m)
+        gamma = pow(g_r, re // r, m)
+        steps = math.isqrt(r - 1) + 1
+        baby: dict[int, int] = {}
+        power = 1
+        for i in range(steps):
+            baby.setdefault(power, i)
+            power = power * gamma % m
+        crt = cofactor * pow(cofactor, -1, re)
+        return cls(r, e, cofactor, crt, pow(g_r, -1, m), baby, steps, pow(gamma, -steps, m))
+
+
+def _pohlig_hellman(x: int, m: int, n: int, tables: tuple[_PrimeLogTable, ...]) -> int | None:
+    """The exponent in [0, n) of x to the base g of order n mod m that
+    ``tables`` were built for, or None when some digit has no solution.
+
+    For each prime power r^e of n, x is projected into the subgroup of order
+    r^e; its exponent there is found one base-r digit at a time, each by
+    baby-step/giant-step in the subgroup of order r.  The residues mod each
+    r^e are combined by CRT.  The caller checks the result.
+    """
+    exponent = 0
+    for t in tables:
+        y = pow(x, t.cofactor, m)  # in the subgroup of order r^e
+        digits, place = 0, 1
+        for j in reversed(range(t.e)):
+            h = pow(y, t.r**j, m)  # in the subgroup of order r
+            for giant_step in range(t.steps):
+                i = t.baby.get(h)
+                if i is not None:
+                    break
+                h = h * t.giant % m
+            else:
+                return None
+            d = giant_step * t.steps + i
+            digits += d * place
+            if j:
+                y = y * pow(t.g_r_inv, d * place, m) % m  # strip the digit found
+            place *= t.r
+        exponent += digits * t.crt
+    return exponent % n
+
+
+def _primitive_root_mod_prime_power(p: int, a: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The least primitive root mod p^a and the factorisation of phi(p^a)."""
     pa = p ** a
     phi = (p - 1) * p ** (a - 1)
-    prime_divs = [r for r, _ in factorize(phi)]
+    phi_factors = tuple(factorize(phi))
     for g in range(2, pa):
         if g % p == 0:
             continue
-        if all(pow(g, phi // r, pa) != 1 for r in prime_divs):
-            return g
+        if all(pow(g, phi // r, pa) != 1 for r, _ in phi_factors):
+            return g, phi_factors
     raise TheoremViolation(f"no primitive root mod {p}^{a} = {pa}")
 
 
@@ -135,11 +218,11 @@ def units_mod(M: int) -> UnitGroupMod:
         gens.append((lift(M2 - 1, 1), 2))
         if k >= 3:
             gens.append((lift(5, 1), 1 << (k - 2)))
-    g_odd = 0
+    g_odd, phi_factors = 0, ()
     if pa > 1:
-        g_odd = _primitive_root_mod_prime_power(p, a)
+        g_odd, phi_factors = _primitive_root_mod_prime_power(p, a)
         gens.append((lift(1, g_odd), (p - 1) * p ** (a - 1)))
-    return UnitGroupMod(M, tuple(gens), k if k >= 2 else 0, pa, g_odd)
+    return UnitGroupMod(M, tuple(gens), k if k >= 2 else 0, pa, g_odd, phi_factors)
 
 
 def smith_invariant_factors(rows: list[list[int]], ngens: int) -> tuple[int, ...]:
@@ -241,18 +324,18 @@ def ray_quotient_report(p: int, q: int, k_max: int = 8) -> RayClassReport:
     if k_max < 5:
         raise ValueError(f"k_max must be >= 5, got {k_max}")
 
+    # The generators -1, 5, g of (Z/2^k_max p)* reduce mod 2^k p to those
+    # units_mod builds at level k, so one pair of dlogs serves every level:
+    # reduce each exponent mod that level's generator orders 2, 2^(k-2), p-1.
+    M = (1 << k_max) * p
+    units = units_mod(M)
+    relations = (units.dlog(M - 1), units.dlog(q))
     per_level = []
     for k in range(3, k_max + 1):
-        M = (1 << k) * p
-        units = units_mod(M)
-        orders = [n for _, n in units.generators]
-        rows = [
-            [orders[i] if j == i else 0 for j in range(len(orders))]
-            for i in range(len(orders))
-        ]
-        rows.append(list(units.dlog(M - 1)))
-        rows.append(list(units.dlog(q % M)))
-        factors = smith_invariant_factors(rows, len(orders))
+        orders = (2, 1 << (k - 2), p - 1)
+        rows = [[n if j == i else 0 for j in range(3)] for i, n in enumerate(orders)]
+        rows += [[e % n for e, n in zip(r, orders)] for r in relations]
+        factors = smith_invariant_factors(rows, 3)
         per_level.append((k, AbelianGroupStructure(factors).two_part))
 
     final = per_level[-1][1]

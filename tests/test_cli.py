@@ -224,3 +224,24 @@ def test_rayclass_levels_rejected_up_front(capsys):
     assert err.startswith("error:") and "levels" in err and err.count("\n") == 1
     code, _, _ = run_cli(capsys, "rayclass", "--p", "3", "--q", "11", "--levels", "4")
     assert code == 2
+
+
+def test_classify_help_prints_subcommand_help(capsys):
+    for flag in ("--help", "-h", "--he"):
+        code, out, err = run_cli(capsys, "classify", flag)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: birat2 classify") and "spec" in out
+
+
+def test_rayclass_bounded_work(capsys):
+    # a large p (the odd dlog) and the most levels (the 2-power dlog)
+    for argv, order, kprime in (
+        (("--p", "1000000123", "--q", "5"), 2, 2000000246),
+        (("--p", "3", "--q", "11", "--levels", "24"), 2, 3),
+    ):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "rayclass", *argv)
+        assert time.perf_counter() - start < 2.0, argv
+        payload = json.loads(out)
+        assert code == 0 and payload["stabilized_order"] == order
+        assert payload["quadratic_character"] == kprime

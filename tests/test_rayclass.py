@@ -17,6 +17,7 @@ from birat2 import (
     reflection_ranks,
     units_mod,
 )
+from birat2.arith import factorize
 from birat2.rayclass import smith_invariant_factors
 
 
@@ -84,6 +85,65 @@ def test_dlog_failure_raises_theorem_violation():
     assert proc.returncode == 0, proc.stderr
 
 
+def linear_dlog_tables(u):
+    """Reference dlog by linear search, the algorithm dlog used before
+    Pohlig-Hellman: walk +-5^b mod 2^k and g^e mod p^a, keep the first hit.
+
+    Returns (two, odd): residue mod 2^k -> exponents of (-1, 5), and residue
+    mod p^a -> exponent of g.
+    """
+    k, pa, g = u._two_exp, u._odd_prime_power, u._odd_generator
+    two = {0: ()}  # no 2-part: residues mod 2^0 = 1
+    if k == 2:
+        two = {1: (0,), 3: (1,)}
+    elif k >= 3:
+        M2, two, power = 1 << k, {}, 1
+        for b in range(1 << (k - 2)):
+            two.setdefault(power, (0, b))
+            two.setdefault(M2 - power, (1, b))
+            power = power * 5 % M2
+    odd = {0: ()}
+    if pa > 1:
+        odd, power = {}, 1
+        for e in range(pa):
+            odd.setdefault(power, (e,))
+            power = power * g % pa
+    return two, odd
+
+
+def supported_moduli(bound):
+    """Every M = 2^k p^a in 3..bound, the shapes units_mod accepts."""
+    for M in range(3, bound + 1):
+        odd = M >> ((M & -M).bit_length() - 1)
+        if odd == 1 or len(factorize(odd)) == 1:
+            yield M
+
+
+def test_dlog_matches_linear_search_exhaustive():
+    moduli = list(supported_moduli(5000))
+    # k = 0, 1, 2 and >= 3 against a = 0, 1 and >= 2
+    assert {4, 8, 3, 6, 12, 24, 9, 18, 36, 72} <= set(moduli)
+    for M in moduli:
+        u = units_mod(M)
+        two, odd = linear_dlog_tables(u)
+        M2, pa = 1 << u._two_exp, u._odd_prime_power
+        for x in range(1, M):
+            if math.gcd(x, M) == 1:
+                assert u.dlog(x) == two[x % M2] + odd[x % pa], (M, x)
+
+
+@pytest.mark.parametrize("p", [1000000123, 119993, 100003])
+def test_dlog_matches_sympy_discrete_log(p):
+    ntheory = pytest.importorskip("sympy.ntheory")
+    u = units_mod(p)
+    (g, n), = u.generators
+    assert n == p - 1
+    for x in (2, 3, 5, p - 1, p - 2, 12345, 7 * p // 11, (p + 1) // 2):
+        (e,) = u.dlog(x)
+        assert e == ntheory.discrete_log(p, x, g), (p, x)
+        assert pow(g, e, p) == x % p
+
+
 def test_smith_invariant_factors_known_cases():
     # diagonal relations
     assert smith_invariant_factors([[2, 0], [0, 8]], 2) == (2, 8)
@@ -139,6 +199,49 @@ def test_ray_quotient_matches_brute_force():
                 assert structure.is_cyclic == (sq == 2), (p, q, k)
             else:
                 assert structure.is_trivial
+
+
+def level_by_level_per_level(p, q, k_max):
+    """per_level built from a fresh units_mod(2^k p) and fresh dlogs at each
+    level k, as ray_quotient_report did before one presentation served all."""
+    per_level = []
+    for k in range(3, k_max + 1):
+        M = (1 << k) * p
+        units = units_mod(M)
+        orders = [n for _, n in units.generators]
+        rows = [[n if j == i else 0 for j in range(len(orders))] for i, n in enumerate(orders)]
+        rows.append(list(units.dlog(M - 1)))
+        rows.append(list(units.dlog(q % M)))
+        factors = smith_invariant_factors(rows, len(orders))
+        per_level.append((k, AbelianGroupStructure(factors).two_part))
+    return tuple(per_level)
+
+
+def test_ray_quotient_matches_level_by_level_build():
+    primitive = [p for p in primes_up_to(200) if p % 8 in (3, 5)]
+    for p in primitive:
+        for q in primitive:
+            if p == q:
+                continue
+            for k_max in (8, 12):
+                report = ray_quotient_report(p, q, k_max)
+                assert report.per_level == level_by_level_per_level(p, q, k_max), (p, q, k_max)
+
+
+def test_top_level_dlog_reduces_to_every_level():
+    # the generators -1, 5, g of (Z/2^14 p)* reduce to those of (Z/2^k p)*;
+    # a generator of order 1 at level k (5 for k <= 2, -1 for k <= 1) drops out
+    primitive = [r for r in primes_up_to(200) if r % 8 in (3, 5)]
+    for p in (3, 5, 11, 13, 101, 197):
+        top = units_mod((1 << 14) * p)
+        xs = [-1, *primitive, *range(1, top.modulus, top.modulus // 499)]
+        top_exps = {x: top.dlog(x) for x in xs if math.gcd(x, top.modulus) == 1}
+        for k in range(0, 15):
+            level = units_mod((1 << k) * p)
+            orders = (2 if k >= 2 else 1, 1 << (k - 2) if k >= 3 else 1, p - 1)
+            for x, exps in top_exps.items():
+                reduced = tuple(e % n for e, n in zip(exps, orders) if n > 1)
+                assert reduced == level.dlog(x), (p, k, x)
 
 
 def test_ray_quotient_examples():
