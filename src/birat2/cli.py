@@ -31,7 +31,7 @@ from .quadforms import (
     verify_2birational_quadratic_oracle,
     verify_2rational_quadratic,
 )
-from .rayclass import find_propagation_field, ray_quotient_report, reflection_ranks
+from .rayclass import _reflection_ranks, find_propagation_field, ray_quotient_report
 from .tower import plan_and_realize, plan_tower
 
 SCHEMA = 1
@@ -199,7 +199,7 @@ def cmd_verify(bound: int, output: str | None) -> int:
             checked += 1
             try:
                 report = ray_quotient_report(p, q, k_max=10)
-                if reflection_ranks(p, q) != (1, 0):
+                if _reflection_ranks(report) != (1, 0):
                     failed += 1
                 if report.stabilized_order.bit_count() != 1:
                     failed += 1

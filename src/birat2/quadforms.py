@@ -17,13 +17,19 @@ Conventions:
 
 Composition is Dirichlet composition through two extended gcds, with no
 factorization (Cohen, *A Course in Computational Algebraic Number Theory*,
-Def. 5.4.6).  A class group is built once per discriminant together with
-an index from every reduced form (for D > 0, every member of every cycle)
-to its class representative, so canonicalisation inside a group is
-"reduce, then look up", not a cycle walk per product.  The squaring map
-x -> x^2 is tabulated once per group and shared by the structure
-computation, the 2-Sylow subgroup and the restricted quotient; torsion
-counts feed ``abelian``, which owns the invariant-factor normal form.
+Def. 5.4.6).  A ``QuadForm`` is a named (a, b, c) tuple.  The arithmetic is
+done by integer kernels (``_compose``, ``_reduce_definite``,
+``_reduce_indefinite``) on the coefficients and a discriminant the caller
+passes in; ``compose``, ``reduce_definite``, ``reduce_indefinite``,
+``reduction_cycle`` and ``canonical_rep`` wrap them for forms.  A class
+group is built once per discriminant together with an index from every
+reduced (a, b, c) (for D > 0, every member of every cycle) to its class
+representative, so a product inside a group is "compose, reduce, look up"
+on integers, with no cycle walk and no form object built per product.
+The squaring map x -> x^2 is tabulated once per group and shared by the
+structure computation, the 2-Sylow subgroup and the restricted quotient;
+torsion counts feed ``abelian``, which owns the invariant-factor normal
+form.
 ``narrow_class_group`` caches the 256 most recently used groups.
 """
 
@@ -31,7 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .abelian import AbelianGroupStructure
 from .arith import (
@@ -52,9 +59,12 @@ MAX_POSITIVE_DISC = 100_000
 CONTINUED_FRACTION_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class QuadForm:
-    """The binary quadratic form a x^2 + b xy + c y^2."""
+class QuadForm(NamedTuple):
+    """The binary quadratic form a x^2 + b xy + c y^2.
+
+    A plain (a, b, c) tuple: hashing and equality are the tuple's, and the
+    natural order is ``key()`` order.
+    """
 
     a: int
     b: int
@@ -102,12 +112,13 @@ def principal_form(D: int) -> QuadForm:
     return QuadForm(1, b, (b * b - D) // 4)
 
 
-def reduce_definite(f: QuadForm) -> QuadForm:
-    """The unique reduced representative of a positive definite class."""
-    D = f.discriminant
-    a, b, c = f.a, f.b, f.c
+# The integer kernels: forms are passed as their coefficients, with the
+# discriminant D given by the caller, and come back as (a, b, c) tuples.
+
+
+def _reduce_definite(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
     if a <= 0 or D >= 0:
-        raise TheoremViolation(f"{f} is not positive definite")
+        raise TheoremViolation(f"{QuadForm(a, b, c)} is not positive definite")
     while True:
         if b > a or b <= -a:
             k = (b + a) // (2 * a)  # shift b into (-a, a]
@@ -119,67 +130,32 @@ def reduce_definite(f: QuadForm) -> QuadForm:
         break
     if b < 0 and (a == c or b == -a):
         b = -b
-    return QuadForm(a, b, c)
+    return a, b, c
 
 
-def _is_reduced_indefinite(f: QuadForm, D: int) -> bool:
-    b = f.b
-    if b <= 0 or b * b >= D:
-        return False
-    t = 2 * abs(f.a)
-    # |sqrt(D) - 2|a|| < b < sqrt(D)
-    if t > b and (t - b) * (t - b) >= D:
-        return False
-    return D < (t + b) * (t + b)
-
-
-def _rho(f: QuadForm, D: int, sq: int) -> QuadForm:
+def _rho(a: int, b: int, c: int, D: int, sq: int) -> tuple[int, int, int]:
     # Reduction operator for indefinite forms: (a, b, c) -> (c, r, *) with
     # r = -b (mod 2|c|) chosen in the standard window; sq = isqrt(D).
-    c = f.c
     ac = abs(c)
     if ac * ac > D:
-        r = (-f.b) % (2 * ac)
+        r = (-b) % (2 * ac)
         if r > ac:
             r -= 2 * ac
     else:
-        r = sq - ((sq + f.b) % (2 * ac))
-    return QuadForm(c, r, (r * r - D) // (4 * c))
+        r = sq - ((sq + b) % (2 * ac))
+    return c, r, (r * r - D) // (4 * c)
 
 
-def reduce_indefinite(f: QuadForm) -> QuadForm:
-    D = f.discriminant
+def _reduce_indefinite(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
+    # the first reduced form, |sqrt(D) - 2|a|| < b < sqrt(D), on the rho-orbit
     sq = math.isqrt(D)
     for _ in range(10_000):
-        if _is_reduced_indefinite(f, D):
-            return f
-        f = _rho(f, D, sq)
-    raise TheoremViolation(f"indefinite reduction did not terminate for {f}")
-
-
-def reduction_cycle(f: QuadForm) -> list[QuadForm]:
-    """The cycle of reduced forms properly equivalent to f (D > 0)."""
-    D = f.discriminant
-    sq = math.isqrt(D)
-    start = reduce_indefinite(f)
-    cycle = [start]
-    g = _rho(start, D, sq)
-    while g != start:
-        cycle.append(g)
-        g = _rho(g, D, sq)
-    return cycle
-
-
-def canonical_rep(f: QuadForm) -> QuadForm:
-    """Canonical representative of the proper equivalence class of f.
-
-    This walks the whole reduction cycle for D > 0; a ``ClassGroup``
-    canonicalises by reducing and looking the reduced form up instead.
-    """
-    if f.discriminant < 0:
-        g = f if f.a > 0 else QuadForm(-f.a, f.b, -f.c)  # definite: work with positive
-        return reduce_definite(g)
-    return min(reduction_cycle(f), key=QuadForm.key)
+        if 0 < b and b * b < D:
+            t = 2 * abs(a)
+            if (t <= b or (t - b) * (t - b) < D) and D < (t + b) * (t + b):
+                return a, b, c
+        a, b, c = _rho(a, b, c, D, sq)
+    raise TheoremViolation(f"indefinite reduction did not terminate for {QuadForm(a, b, c)}")
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -197,6 +173,55 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _compose(a1: int, b1: int, a2: int, b2: int, D: int) -> tuple[int, int, int]:
+    d, x, y = _egcd(a1, a2)
+    # e = z d + w (b1 + b2)/2, so u = z x, v = z y; d = 1 needs no second gcd
+    e, z, w = (1, 1, 0) if d == 1 else _egcd(d, (b1 + b2) // 2)
+    A = a1 * a2 // (e * e)
+    B = (z * (x * a1 * b2 + y * a2 * b1) + w * ((b1 * b2 + D) // 2)) // e % (2 * abs(A))
+    return A, B, (B * B - D) // (4 * A)
+
+
+def reduce_definite(f: QuadForm) -> QuadForm:
+    """The unique reduced representative of a positive definite class."""
+    return QuadForm(*_reduce_definite(*f, f.discriminant))
+
+
+def reduce_indefinite(f: QuadForm) -> QuadForm:
+    return QuadForm(*_reduce_indefinite(*f, f.discriminant))
+
+
+def _reduction_cycle(a: int, b: int, c: int, D: int) -> list[tuple[int, int, int]]:
+    sq = math.isqrt(D)
+    start = _reduce_indefinite(a, b, c, D)
+    cycle = [start]
+    g = _rho(*start, D, sq)
+    while g != start:
+        cycle.append(g)
+        g = _rho(*g, D, sq)
+    return cycle
+
+
+def reduction_cycle(f: QuadForm) -> list[QuadForm]:
+    """The cycle of reduced forms properly equivalent to f (D > 0)."""
+    return [QuadForm(*g) for g in _reduction_cycle(*f, f.discriminant)]
+
+
+def canonical_rep(f: QuadForm) -> QuadForm:
+    """Canonical representative of the proper equivalence class of f.
+
+    This walks the whole reduction cycle for D > 0; a ``ClassGroup``
+    canonicalises by reducing and looking the reduced form up instead.
+    """
+    a, b, c = f
+    D = f.discriminant
+    if D > 0:
+        return QuadForm(*min(_reduction_cycle(a, b, c, D)))
+    if a < 0:  # definite: work with the positive form
+        a, c = -a, -c
+    return QuadForm(*_reduce_definite(a, b, c, D))
+
+
 def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     """Dirichlet composition of primitive forms of equal discriminant D.
 
@@ -208,12 +233,7 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     D = f1.discriminant
     if f2.discriminant != D:
         raise ValueError("forms must share a discriminant")
-    a1, b1, a2, b2 = f1.a, f1.b, f2.a, f2.b
-    d, x, y = _egcd(a1, a2)
-    e, z, w = _egcd(d, (b1 + b2) // 2)  # u = z x, v = z y
-    A = a1 * a2 // (e * e)
-    B = (z * (x * a1 * b2 + y * a2 * b1) + w * ((b1 * b2 + D) // 2)) // e % (2 * abs(A))
-    return QuadForm(A, B, (B * B - D) // (4 * A))
+    return QuadForm(*_compose(f1.a, f1.b, f2.a, f2.b, D))
 
 
 def _enumerate_definite(D: int) -> list[QuadForm]:
@@ -224,16 +244,15 @@ def _enumerate_definite(D: int) -> list[QuadForm]:
             if n % a:
                 continue
             c = n // a
-            f = QuadForm(a, b, c)
-            if f.content != 1:
+            if math.gcd(math.gcd(a, b), c) != 1:
                 continue
-            forms.append(f)
+            forms.append(QuadForm(a, b, c))
             if 0 < b < a < c:
                 forms.append(QuadForm(a, -b, c))
-    return sorted(forms, key=QuadForm.key)
+    return sorted(forms)
 
 
-def _enumerate_indefinite_reduced(D: int) -> list[QuadForm]:
+def _enumerate_indefinite_reduced(D: int) -> list[tuple[int, int, int]]:
     # (a, b, c) is reduced iff 0 < b < sqrt(D) and sqrt(D) - b < 2|a| <
     # sqrt(D) + b, that is sq - b < 2|a| <= sq + b for sq = isqrt(D) (D is
     # not a square); the sign of a is free
@@ -244,8 +263,8 @@ def _enumerate_indefinite_reduced(D: int) -> list[QuadForm]:
         n = (D - b * b) // 4
         for a in range((sq - b) // 2 + 1, (sq + b) // 2 + 1):
             if n % a == 0 and math.gcd(math.gcd(a, b), n // a) == 1:
-                forms += (QuadForm(a, b, -(n // a)), QuadForm(-a, b, n // a))
-    return sorted(forms, key=QuadForm.key)
+                forms += ((a, b, -(n // a)), (-a, b, n // a))
+    return sorted(forms)
 
 
 def _dyadic_forms(D: int) -> list[QuadForm]:
@@ -260,13 +279,24 @@ def _dyadic_forms(D: int) -> list[QuadForm]:
     return [QuadForm(2, 2, (4 - D) // 8)]
 
 
-def _class_of(D: int, index: dict[QuadForm, QuadForm], f: QuadForm) -> QuadForm:
-    """Class representative of f: reduce it, then look the reduced form up."""
-    g = reduce_definite(f) if D < 0 else reduce_indefinite(f)
+def _class_of(D: int, index: dict, a: int, b: int, c: int) -> QuadForm:
+    """Class representative of (a, b, c): reduce it, then look the reduced
+    form up.  The index is keyed by reduced (a, b, c) tuples."""
+    g = _reduce_definite(a, b, c, D) if D < 0 else _reduce_indefinite(a, b, c, D)
     rep = index.get(g)
     if rep is None:
-        raise TheoremViolation(f"D={D}: the reduced form {g} of {f} is not in the class index")
+        raise TheoremViolation(
+            f"D={D}: the reduced form {QuadForm(*g)} of {QuadForm(a, b, c)} "
+            "is not in the class index"
+        )
     return rep
+
+
+def _mul(D: int, index: dict, x: QuadForm, y: QuadForm) -> QuadForm:
+    # the class of the product: compose, reduce, look up
+    a1, b1, _ = x
+    a2, b2, _ = y
+    return _class_of(D, index, *_compose(a1, b1, a2, b2, D))
 
 
 def _power(x: QuadForm, n: int, mul, squares: dict[QuadForm, QuadForm]) -> QuadForm:
@@ -299,7 +329,7 @@ class ClassGroup:
     dyadic_classes: tuple[QuadForm, ...]
     two_sylow: tuple[int, ...]
     identity: QuadForm
-    _index: dict[QuadForm, QuadForm] = field(repr=False, compare=False)
+    _index: dict[tuple[int, int, int], QuadForm] = field(repr=False, compare=False)
     _squares: dict[QuadForm, QuadForm] = field(repr=False, compare=False)
 
     @property
@@ -307,17 +337,18 @@ class ClassGroup:
         return len(self.elements)
 
     def mul(self, x: QuadForm, y: QuadForm) -> QuadForm:
-        return _class_of(self.D, self._index, compose(x, y))
+        return _mul(self.D, self._index, x, y)
 
     def inv(self, x: QuadForm) -> QuadForm:
-        return _class_of(self.D, self._index, x.inverse())
+        a, b, c = x
+        return _class_of(self.D, self._index, a, -b, c)
 
     def pow(self, x: QuadForm, n: int) -> QuadForm:
         if n < 0:
             x, n = self.inv(x), -n
         if n == 0:
             return self.identity
-        return _power(_class_of(self.D, self._index, x), n, self.mul, self._squares)
+        return _power(_class_of(self.D, self._index, *x), n, self.mul, self._squares)
 
     def element_order(self, x: QuadForm) -> int:
         t = self.order
@@ -375,7 +406,7 @@ def narrow_class_group(D: int) -> ClassGroup:
             f"|D|={abs(D)} exceeds the enumeration bound "
             f"({MAX_NEGATIVE_DISC} for D<0, {MAX_POSITIVE_DISC} for D>0)"
         )
-    # index: every reduced form -> the representative of its class
+    # index: every reduced (a, b, c) -> the representative of its class
     if D < 0:
         elements = tuple(_enumerate_definite(D))
         index = {f: f for f in elements}
@@ -385,26 +416,24 @@ def narrow_class_group(D: int) -> ClassGroup:
         for f in _enumerate_indefinite_reduced(D):
             if f in index:
                 continue
-            cyc = reduction_cycle(f)
-            rep = min(cyc, key=QuadForm.key)
+            cyc = _reduction_cycle(*f, D)
+            rep = QuadForm(*min(cyc))
             index.update(dict.fromkeys(cyc, rep))
             reps.append(rep)
-        elements = tuple(sorted(reps, key=QuadForm.key))
+        elements = tuple(sorted(reps))
 
-    identity = _class_of(D, index, principal_form(D))
+    identity = _class_of(D, index, *principal_form(D))
     if identity not in elements:
         raise TheoremViolation(f"D={D}: the principal class {identity} is not an element")
 
-    def mul(x: QuadForm, y: QuadForm) -> QuadForm:
-        return _class_of(D, index, compose(x, y))
-
+    mul = partial(_mul, D, index)
     squares = {x: mul(x, x) for x in elements}
     h = len(elements)
     factors = _structure(elements, squares, mul, identity, h)
     if math.prod(factors) != h:
         raise TheoremViolation(f"D={D}: invariant factors {factors} do not multiply to h={h}")
 
-    dyadic = tuple(_class_of(D, index, f) for f in _dyadic_forms(D))
+    dyadic = tuple(_class_of(D, index, *f) for f in _dyadic_forms(D))
     for f in dyadic:
         if f not in elements:
             raise TheoremViolation(f"D={D}: the dyadic class {f} is not an element")

@@ -338,19 +338,24 @@ def ray_quotient_report(p: int, q: int, k_max: int = 8) -> RayClassReport:
         factors = smith_invariant_factors(rows, 3)
         per_level.append((k, AbelianGroupStructure(factors).two_part))
 
-    final = per_level[-1][1]
+    final = _check_stabilized(p, q, per_level)
+    kprime = _find_propagation_field(p, q)
+    return RayClassReport(p, q, tuple(per_level), final.order, kprime.value)
+
+
+def _check_stabilized(p: int, q: int, per_level) -> AbelianGroupStructure:
+    """The structure at the last level of ``per_level``, checked to equal the
+    one before it and to be cyclic of order 2^v2(p-1)."""
+    k, final = per_level[-1]
     if per_level[-2][1] != final:
-        raise TheoremViolation(
-            f"ray quotient for p={p}, q={q} did not stabilize by k={k_max}"
-        )
+        raise TheoremViolation(f"ray quotient for p={p}, q={q} did not stabilize by k={k}")
     expected = 1 << v2(p - 1)
     if not final.is_cyclic or final.order != expected:
         raise TheoremViolation(
             f"ray quotient for p={p}, q={q} is {final.invariant_factors}, "
             f"expected cyclic of order {expected}"
         )
-    kprime = find_propagation_field(p, q)
-    return RayClassReport(p, q, tuple(per_level), final.order, kprime.value)
+    return final
 
 
 def find_propagation_field(p: int, q: int) -> SquarefreeInt:
@@ -361,7 +366,11 @@ def find_propagation_field(p: int, q: int) -> SquarefreeInt:
     primitive q is inert, so exactly one of the two splits q.  The returned
     field automatically has a unique dyadic place.
     """
-    p, q = _require_primitive_pair(p, q)
+    return _find_propagation_field(*_require_primitive_pair(p, q))
+
+
+def _find_propagation_field(p: int, q: int) -> SquarefreeInt:
+    # find_propagation_field for a pair already validated
     candidates = [p, 2 * p]
     symbols = {m: kronecker(field_discriminant(m), q) for m in candidates}
     split = [m for m, s in symbols.items() if s == 1]
@@ -387,6 +396,11 @@ def mirror_group_trivial(q: int, p: int) -> bool:
     TheoremViolation.
     """
     p, q = _require_primitive_pair(p, q)
+    return _mirror_group_trivial(q, p)
+
+
+def _mirror_group_trivial(q: int, p: int) -> bool:
+    # mirror_group_trivial for a pair already validated
     full = v2(q - 1)
     strong = v2(multiplicative_order(2, q)) == full
     # alternative reading: quotient additionally by -1 and p; in the cyclic
@@ -407,9 +421,23 @@ def mirror_group_trivial(q: int, p: int) -> bool:
 def reflection_ranks(p: int, q: int) -> tuple[int, int]:
     """The reflection identity: 2-rank of the ray quotient minus the mirror
     rank must equal 1; returns (rank, mirror_rank) = (1, 0)."""
-    report = ray_quotient_report(p, q)
-    rank = len(report.per_level[-1][1].invariant_factors)
-    mirror_rank = 0 if mirror_group_trivial(q, p) else 1
+    return _reflection_ranks(ray_quotient_report(p, q))
+
+
+_REFLECTION_LEVEL = 8  # the default k_max of ray_quotient_report
+
+
+def _reflection_ranks(report: RayClassReport) -> tuple[int, int]:
+    """reflection_ranks(report.p, report.q) from a report reaching at least
+    level 8.  A level's entry does not depend on the report's k_max, so the
+    entries up to level 8 are those of ray_quotient_report(p, q); the
+    stabilization checks that report makes are re-run on them."""
+    p, q = report.p, report.q
+    levels = tuple(entry for entry in report.per_level if entry[0] <= _REFLECTION_LEVEL)
+    if levels[-1][0] != _REFLECTION_LEVEL:
+        raise ValueError(f"the report for p={p}, q={q} stops below level {_REFLECTION_LEVEL}")
+    rank = len(_check_stabilized(p, q, levels).invariant_factors)
+    mirror_rank = 0 if _mirror_group_trivial(q, p) else 1
     if rank - mirror_rank != 1:
         raise TheoremViolation(
             f"reflection identity failed for p={p}, q={q}: "

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import subprocess
 import sys
 import time
 
+from birat2 import AbelianGroupStructure, cli, rayclass
 from birat2.cli import main
 
 
@@ -123,6 +125,43 @@ def test_verify_small_bound(capsys):
         "quadratic-rational-vs-form-oracle",
         "ray-class-laws",
     }
+
+
+def ray_suite(out):
+    return next(s for s in json.loads(out)["suites"] if s["name"] == "ray-class-laws")
+
+
+def test_verify_builds_one_ray_report_per_pair(capsys, monkeypatch):
+    calls = []
+    real = rayclass.ray_quotient_report
+
+    def counted(p, q, k_max=8):
+        calls.append((p, q))
+        return real(p, q, k_max)
+
+    monkeypatch.setattr(rayclass, "ray_quotient_report", counted)
+    monkeypatch.setattr(cli, "ray_quotient_report", counted)
+    code, out, _ = run_cli(capsys, "verify", "--bound", "60")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == ray_suite(out)["checked"] == 90
+
+
+def test_verify_rechecks_level_8_stabilization(capsys, monkeypatch):
+    # reports whose level 7 differs from level 8 fail every pair, although
+    # their own levels 9 and 10 agree
+    real = rayclass.ray_quotient_report
+
+    def unstable(p, q, k_max=8):
+        report = real(p, q, k_max)
+        broken = AbelianGroupStructure((2 * report.stabilized_order,))
+        per_level = tuple((k, broken if k == 7 else s) for k, s in report.per_level)
+        return dataclasses.replace(report, per_level=per_level)
+
+    monkeypatch.setattr(cli, "ray_quotient_report", unstable)
+    code, out, _ = run_cli(capsys, "verify", "--bound", "20")
+    assert code == 1
+    suite = ray_suite(out)
+    assert suite["failed"] == suite["checked"] == 20
 
 
 def test_verify_huge_bound_rejected(capsys):

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +36,25 @@ def analytic_class_number_imaginary(D):
     h = w * abs(total) // (2 * abs(D))
     assert h * 2 * abs(D) == w * abs(total)
     return h
+
+
+def test_quadform_value_semantics():
+    f, g = QuadForm(2, 1, 3), QuadForm(*[2, 1, 3])
+    assert f == g and hash(f) == hash(g) and f is not g
+    assert len({f, g}) == 1 and {f: 1}[g] == 1
+    assert f != QuadForm(2, -1, 3)
+    with pytest.raises(AttributeError):
+        f.a = 5
+    assert repr(f) == "QuadForm(a=2, b=1, c=3)"
+    assert (f.a, f.b, f.c, f.discriminant, f.content, f(1, 1)) == (2, 1, 3, -23, 1, 6)
+    assert f.inverse() == QuadForm(2, -1, 3) and f.key() == (2, 1, 3)
+    rng = random.Random(5)
+    forms = [QuadForm(*(rng.randint(-9, 9) for _ in range(3))) for _ in range(300)]
+    assert sorted(forms) == sorted(forms, key=QuadForm.key)
+    assert min(forms) == min(forms, key=QuadForm.key)
+    for D in (-3299, -84, 229, 316):
+        els = narrow_class_group(D).elements
+        assert list(els) == sorted(els, key=QuadForm.key)
 
 
 def test_narrow_group_examples():
@@ -111,6 +132,16 @@ def test_composition_group_laws():
             assert group.mul(table[(x, y)], z) == group.mul(x, table[(y, z)])
 
 
+def test_kernel_product_matches_cycle_walk_to_2000():
+    # the integer kernel path of group.mul against the QuadForm wrappers,
+    # past the range of test_composition_group_laws
+    for D in fundamental_discs(-2000, -401) + fundamental_discs(401, 2000):
+        group = narrow_class_group(D)
+        for x in group.elements:
+            for y in group.elements:
+                assert group.mul(x, y) == canonical_rep(compose(x, y)), (D, x, y)
+
+
 def test_composition_closure_full_tables_to_1e4():
     # the heavy one: closure and commutativity on the complete composition
     # table of every fundamental |D| <= 1e4 (identity and inverses are
@@ -183,6 +214,27 @@ def test_self_checks_raise_theorem_violation(monkeypatch):
             broken.mul(group.identity, group.identity)
     finally:
         narrow_class_group.cache_clear()
+
+
+def test_non_definite_product_raises_theorem_violation():
+    # a forged leading coefficient -1 at D = -23: the composed form is not
+    # positive definite; raised, not asserted, so it holds under python -O
+    group = narrow_class_group(-23)
+    forged = QuadForm(-1, 1, -6)
+    assert forged.discriminant == -23
+    with pytest.raises(TheoremViolation, match="not positive definite"):
+        group.mul(forged, group.identity)
+    script = (
+        "from birat2 import QuadForm, TheoremViolation, narrow_class_group\n"
+        "group = narrow_class_group(-23)\n"
+        "try:\n"
+        "    group.mul(QuadForm(-1, 1, -6), group.identity)\n"
+        "except TheoremViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_invariant_factor_chain_and_order():

@@ -18,7 +18,7 @@ from birat2 import (
     units_mod,
 )
 from birat2.arith import factorize
-from birat2.rayclass import smith_invariant_factors
+from birat2.rayclass import _reflection_ranks, smith_invariant_factors
 
 
 def test_abelian_structure_validation():
@@ -357,6 +357,25 @@ def test_reflection_examples():
     assert reflection_ranks(3, 5) == (1, 0)
     assert reflection_ranks(5, 3) == (1, 0)
     assert reflection_ranks(11, 13) == (1, 0)
+
+
+def test_reflection_ranks_from_report_rechecks_level_8():
+    report = ray_quotient_report(5, 3, k_max=10)
+    assert _reflection_ranks(report) == reflection_ranks(5, 3) == (1, 0)
+
+    def forged(entries):
+        per_level = tuple((k, AbelianGroupStructure(entries.get(k, s.invariant_factors)))
+                          for k, s in report.per_level)
+        return dataclasses.replace(report, per_level=per_level)
+
+    with pytest.raises(TheoremViolation, match="did not stabilize by k=8"):
+        _reflection_ranks(forged({7: (2,)}))
+    with pytest.raises(TheoremViolation, match="expected cyclic of order 4"):
+        _reflection_ranks(forged({7: (2, 2), 8: (2, 2)}))
+    # levels above 8 play no part in the ranks
+    assert _reflection_ranks(forged({9: (2,), 10: (8,)})) == (1, 0)
+    with pytest.raises(ValueError, match="below level 8"):
+        _reflection_ranks(ray_quotient_report(5, 3, k_max=7))
 
 
 def test_stabilization_across_levels():
