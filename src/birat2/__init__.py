@@ -11,7 +11,6 @@ from .arith import (
     is_prime,
     jacobi,
     kronecker,
-    multiplicative_order,
     primes_up_to,
     squarefree_decompose,
 )
@@ -35,9 +34,7 @@ from .fields import (
 )
 from .quadforms import (
     ClassGroup,
-    FundamentalUnit,
     QuadForm,
-    fundamental_unit,
     genus_2rank,
     is_fundamental_discriminant,
     narrow_class_group,
@@ -80,7 +77,6 @@ __all__ = [
     "EffortBoundExceeded",
     "Evidence",
     "FieldSignature",
-    "FundamentalUnit",
     "MultiquadField",
     "OddPrime",
     "PrimePlace",
@@ -101,7 +97,6 @@ __all__ = [
     "factorize",
     "field_discriminant",
     "find_propagation_field",
-    "fundamental_unit",
     "genus_2rank",
     "imaginary_labels",
     "is_2birational_multiquadratic",
@@ -113,7 +108,6 @@ __all__ = [
     "kronecker",
     "make_field",
     "mirror_group_trivial",
-    "multiplicative_order",
     "narrow_class_group",
     "place_primitivity_in_quadratic",
     "plan_and_realize",

@@ -247,28 +247,6 @@ def field_discriminant(m: int) -> int:
     return m if m % 4 == 1 else 4 * m
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"euler_phi expects n >= 1, got {n}")
-    out = 1
-    for p, e in factorize(n) if n > 1 else []:
-        out *= (p - 1) * p ** (e - 1)
-    return out
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/n)*; requires gcd(a, n) = 1."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not invertible mod {n}")
-    t = euler_phi(n)
-    for p, _ in factorize(t):
-        while t % p == 0 and pow(a, t // p, n) == 1:
-            t //= p
-    return t
-
-
 def v2(n: int) -> int:
     """2-adic valuation of a nonzero integer."""
     if n == 0:

@@ -19,17 +19,22 @@ Composition is Dirichlet composition through two extended gcds, with no
 factorization (Cohen, *A Course in Computational Algebraic Number Theory*,
 Def. 5.4.6).  A ``QuadForm`` is a named (a, b, c) tuple.  The arithmetic is
 done by integer kernels (``_compose``, ``_reduce_definite``,
-``_reduce_indefinite``) on the coefficients and a discriminant the caller
-passes in; ``compose``, ``reduce_definite``, ``reduce_indefinite``,
+``_reduce_indefinite``, and ``_square``, composition with a1 = a2 and one
+extended gcd) on the coefficients and a discriminant the caller passes in;
+``compose``, ``reduce_definite``, ``reduce_indefinite``,
 ``reduction_cycle`` and ``canonical_rep`` wrap them for forms.  A class
 group is built once per discriminant together with an index from every
 reduced (a, b, c) (for D > 0, every member of every cycle) to its class
 representative, so a product inside a group is "compose, reduce, look up"
 on integers, with no cycle walk and no form object built per product.
-The squaring map x -> x^2 is tabulated once per group and shared by the
-structure computation, the 2-Sylow subgroup and the restricted quotient;
-torsion counts feed ``abelian``, which owns the invariant-factor normal
-form.
+
+Every verdict reads only 2-parts, so a group is built with its 2-part
+only: the squaring map x -> x^2 is tabulated once, and its torsion counts
+give the 2-Sylow structure, which the 2-Sylow subgroup and the restricted
+quotient share.  The full invariant factors need a p-th power map for
+every odd p | h; ``ClassGroup.invariant_factors`` computes them on first
+use.  Torsion counts feed ``abelian``, which owns the invariant-factor
+normal form.
 ``narrow_class_group`` caches the 256 most recently used groups.
 """
 
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 from .abelian import AbelianGroupStructure
@@ -47,16 +52,13 @@ from .arith import (
     field_discriminant,
     kronecker,
     odd_part,
-    squarefree_decompose,
     v2,
 )
-from .errors import EffortBoundExceeded, TheoremViolation
+from .errors import TheoremViolation
 
 # Enumeration bounds; exhaustive form listing is quadratic-ish in sqrt(|D|).
 MAX_NEGATIVE_DISC = 4_000_000
 MAX_POSITIVE_DISC = 100_000
-
-CONTINUED_FRACTION_STEPS = 100_000
 
 
 class QuadForm(NamedTuple):
@@ -179,6 +181,15 @@ def _compose(a1: int, b1: int, a2: int, b2: int, D: int) -> tuple[int, int, int]
     e, z, w = (1, 1, 0) if d == 1 else _egcd(d, (b1 + b2) // 2)
     A = a1 * a2 // (e * e)
     B = (z * (x * a1 * b2 + y * a2 * b1) + w * ((b1 * b2 + D) // 2)) // e % (2 * abs(A))
+    return A, B, (B * B - D) // (4 * A)
+
+
+def _square(a: int, b: int, D: int) -> tuple[int, int, int]:
+    # _compose(a, b, a, b, D): with a1 = a2 = a the first gcd is a itself
+    # (x = 1, y = 0), so e = gcd(a, b) = z a + w b needs only the second one
+    e, z, w = _egcd(a, b)
+    A = a * a // (e * e)
+    B = (z * a * b + w * ((b * b + D) // 2)) // e % (2 * abs(A))
     return A, B, (B * B - D) // (4 * A)
 
 
@@ -315,26 +326,45 @@ def _power(x: QuadForm, n: int, mul, squares: dict[QuadForm, QuadForm]) -> QuadF
 class ClassGroup:
     """Narrow class group of a fundamental discriminant, as a full table.
 
-    ``elements`` are canonical class representatives, ``invariant_factors``
-    the structure d1 | d2 | ..., ``dyadic_classes`` the classes of the
-    prime ideals above 2 (when 2 is not inert), ``two_sylow`` the invariant
-    factors of the 2-Sylow subgroup, ``identity`` the principal class.
+    ``elements`` are canonical class representatives, ``dyadic_classes`` the
+    classes of the prime ideals above 2 (when 2 is not inert), ``two_sylow``
+    the invariant factors of the 2-Sylow subgroup, ``identity`` the
+    principal class.  ``invariant_factors``, the structure d1 | d2 | ..., is
+    computed on first use, since only its odd part needs more work.
     Products are composed, reduced and looked up in an index of every
     reduced form; squares of elements come from a table built once.
     """
 
     D: int
     elements: tuple[QuadForm, ...]
-    invariant_factors: tuple[int, ...]
     dyadic_classes: tuple[QuadForm, ...]
     two_sylow: tuple[int, ...]
     identity: QuadForm
     _index: dict[tuple[int, int, int], QuadForm] = field(repr=False, compare=False)
     _squares: dict[QuadForm, QuadForm] = field(repr=False, compare=False)
+    _two_counts: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def invariant_factors(self) -> tuple[int, ...]:
+        # torsion counts per odd prime p | h, from a tabulated p-th power map
+        # iterated e times, joined to the 2-counts kept from construction
+        h, elements = self.order, self.elements
+        mul = partial(_mul, self.D, self._index)
+        counts = {2: self._two_counts}
+        odd = odd_part(h)
+        for p, e in factorize(odd) if odd > 1 else []:
+            step = {x: _power(x, p, mul, self._squares) for x in elements}
+            counts[p] = _torsion_counts(elements, step, {self.identity}, e)
+        factors = AbelianGroupStructure.from_torsion_counts(counts).invariant_factors
+        if math.prod(factors) != h:
+            raise TheoremViolation(
+                f"D={self.D}: invariant factors {factors} do not multiply to h={h}"
+            )
+        return factors
 
     def mul(self, x: QuadForm, y: QuadForm) -> QuadForm:
         return _mul(self.D, self._index, x, y)
@@ -387,16 +417,6 @@ def _torsion_counts(elements, step, kernel, e) -> list[int]:
     return counts
 
 
-def _structure(elements, squares, mul, identity, h) -> tuple[int, ...]:
-    # invariant factors d1 | d2 | ... from torsion counting per prime: the
-    # p-th power map is tabulated once and iterated e times
-    counts = {}
-    for p, e in factorize(h) if h > 1 else []:
-        step = squares if p == 2 else {x: _power(x, p, mul, squares) for x in elements}
-        counts[p] = _torsion_counts(elements, step, {identity}, e)
-    return AbelianGroupStructure.from_torsion_counts(counts).invariant_factors
-
-
 @lru_cache(maxsize=256)
 def narrow_class_group(D: int) -> ClassGroup:
     """Narrow class group of the fundamental discriminant D, fully enumerated."""
@@ -426,99 +446,26 @@ def narrow_class_group(D: int) -> ClassGroup:
     if identity not in elements:
         raise TheoremViolation(f"D={D}: the principal class {identity} is not an element")
 
-    mul = partial(_mul, D, index)
-    squares = {x: mul(x, x) for x in elements}
+    # only the 2-part is built here: torsion counts of the squaring map
+    squares = {x: _class_of(D, index, *_square(x[0], x[1], D)) for x in elements}
     h = len(elements)
-    factors = _structure(elements, squares, mul, identity, h)
-    if math.prod(factors) != h:
-        raise TheoremViolation(f"D={D}: invariant factors {factors} do not multiply to h={h}")
+    two_counts = tuple(_torsion_counts(elements, squares, {identity}, v2(h)))
+    two = AbelianGroupStructure.from_torsion_counts({2: two_counts}).invariant_factors
+    if math.prod(two) != 1 << v2(h):
+        raise TheoremViolation(f"D={D}: the 2-Sylow {two} does not have order 2^v2(h), h={h}")
 
     dyadic = tuple(_class_of(D, index, *f) for f in _dyadic_forms(D))
     for f in dyadic:
         if f not in elements:
             raise TheoremViolation(f"D={D}: the dyadic class {f} is not an element")
 
-    two = AbelianGroupStructure(factors).two_part.invariant_factors
-    group = ClassGroup(D, elements, factors, dyadic, two, identity, index, squares)
+    group = ClassGroup(D, elements, dyadic, two, identity, index, squares, two_counts)
 
     # light self-checks: identity and inverses on the full element list
     for x in elements:
         if group.mul(identity, x) != x or group.mul(x, group.inv(x)) != identity:
             raise TheoremViolation(f"D={D}: the identity or inverse law fails at {x}")
     return group
-
-
-@dataclass(frozen=True)
-class FundamentalUnit:
-    """Fundamental unit (x + y sqrt(m))/2 of the real field Q(sqrt(m)).
-
-    x, y > 0 are minimal with x^2 - m y^2 = +-4; norm_sign is that sign.
-    """
-
-    m: int
-    x: int
-    y: int
-    norm_sign: int
-
-
-def fundamental_unit(m: int) -> FundamentalUnit:
-    """Fundamental unit via the continued fraction of sqrt(m) or (1+sqrt(m))/2.
-
-    The expansion of the generator of the maximal order is followed until
-    the complete quotient repeats; the matrix spanning one period fixes the
-    generator and reads off the unit.
-    """
-    m = int(m)
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    s, f = squarefree_decompose(m)
-    if f != 1 or s.value != m:
-        raise ValueError(f"m={m} is not squarefree")
-    half = m % 4 == 1  # maximal order generated by (1 + sqrt(m))/2
-    P, Q = (1, 2) if half else (0, 1)
-    sq = math.isqrt(m)
-    # convergent matrix M_k = [[p_{k-1}, p_{k-2}], [q_{k-1}, q_{k-2}]]
-    pm1, pm2, qm1, qm2 = 1, 0, 0, 1
-    seen: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    for _ in range(CONTINUED_FRACTION_STEPS):
-        state = (P, Q)
-        if state in seen:
-            a11, a12, a21, a22 = seen[state]
-            det = a11 * a22 - a12 * a21  # +-1
-            # B = M_now * M_then^{-1}
-            i11, i12, i21, i22 = det * a22, -det * a12, -det * a21, det * a11
-            r = pm1 * i11 + pm2 * i21
-            sco = pm1 * i12 + pm2 * i22
-            t = qm1 * i11 + qm2 * i21
-            u = qm1 * i12 + qm2 * i22
-            # B fixes the expanded irrational; check it in the basis (1, w)
-            if half:
-                fixes = t + u - r == 0 and t * (m - 1) // 4 == sco
-                x, y = 2 * u + t, t
-            else:
-                fixes = u == r and sco == t * m
-                x, y = 2 * u, 2 * t
-            if not fixes:
-                raise TheoremViolation(f"m={m}: the period matrix does not fix the generator")
-            if x < 0:
-                x, y = -x, -y
-            norm = (x * x - m * y * y) // 4
-            if y < 0:
-                x, y = norm * x, -norm * y
-                if x < 0:
-                    x, y = -x, -y
-            if norm not in (1, -1) or x <= 0 or y <= 0 or x * x - m * y * y != 4 * norm:
-                raise TheoremViolation(f"m={m}: ({x} + {y} sqrt(m))/2 is not a unit")
-            return FundamentalUnit(m, x, y, norm)
-        seen[state] = (pm1, pm2, qm1, qm2)
-        a = (P + sq) // Q
-        P = a * Q - P
-        Q = (m - P * P) // Q
-        pm1, pm2 = a * pm1 + pm2, pm1
-        qm1, qm2 = a * qm1 + qm2, qm1
-    raise EffortBoundExceeded(
-        f"continued fraction of sqrt({m}) exceeded {CONTINUED_FRACTION_STEPS} steps"
-    )
 
 
 def restricted_2class_quotient(D: int) -> tuple[AbelianGroupStructure, bool]:
@@ -531,9 +478,8 @@ def restricted_2class_quotient(D: int) -> tuple[AbelianGroupStructure, bool]:
     group = narrow_class_group(D)
     unique_dyadic = kronecker(D, 2) != 1
     sylow = group.two_sylow_elements()
-    gens = [
-        group.pow(c, odd_part(group.element_order(c))) for c in group.dyadic_classes
-    ]
+    # c^odd(h) spans the 2-part of <c>, as c^odd(ord c) does
+    gens = [group.pow(c, odd_part(group.order)) for c in group.dyadic_classes]
     H = group.subgroup(gens)
     quotient_size = len(sylow) // len(H)
     counts = _torsion_counts(sylow, group._squares, H, v2(quotient_size))

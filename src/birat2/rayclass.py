@@ -9,19 +9,22 @@ order 2^v2(p-1)), finds the real quadratic field realizing the quadratic
 subextension, and verifies the reflection identities that make the whole
 construction tick.  The invariant-factor normal form comes from ``abelian``.
 
-Discrete logarithms in (Z/2^k p^a)* are taken by Pohlig-Hellman (Pohlig and
-Hellman, IEEE Trans. IT 24, 1978; Cohen, GTM 138, 1.6): the exponent of 5
-bit by bit in O(k) squarings, the odd part one digit per prime power of
-phi(p^a), each by baby-step/giant-step.  A report takes one presentation
-at its top level and reduces the exponents to each lower level, so its
-work is polynomial in log p and k.
+Only 2-parts are computed.  For a finite abelian group G with subgroup H,
+the 2-part of G/H is the 2-Sylow G_2 modulo the projection of H, so the
+unit group is presented by generators of its 2-Sylow: -1, 5 and an element
+of order 2^v2(p-1) mod p^a.  Discrete logarithms are Pohlig-Hellman at the
+single prime 2 (Pohlig and Hellman, IEEE Trans. IT 24, 1978): a unit is
+projected onto the 2-Sylow by one power, and its exponents are read bit by
+bit.  The Smith reduction (Cohen, GTM 138, 2.4) then runs on the orders
+(2, 2^(k-2), 2^v).  A report takes one presentation at its top level and
+reduces the exponents to each lower level, so its work is polynomial in
+log p and k, with no factorization of p - 1 and no table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .abelian import AbelianGroupStructure
 from .arith import (
@@ -29,8 +32,9 @@ from .arith import (
     check_odd_prime,
     factorize,
     field_discriminant,
+    jacobi,
     kronecker,
-    multiplicative_order,
+    odd_part,
     v2,
 )
 from .errors import TheoremViolation
@@ -39,11 +43,13 @@ from .towerdec import primitivity_over_Q
 
 @dataclass(frozen=True)
 class UnitGroupMod:
-    """Direct-product generators of (Z/M)* for M = 2^k * p^a.
+    """Generators of the 2-Sylow subgroup of (Z/M)* for M = 2^k * p^a.
 
     ``generators`` lists (element, order) pairs whose cyclic spans give the
-    whole group as a direct product; ``dlog`` writes any unit in terms of
-    them, with each exponent in [0, order).
+    2-Sylow as a direct product: -1 and 5 (the whole of (Z/2^k)*), then an
+    element of order 2^v2(p-1) mod p^a.  ``dlog`` writes the 2-Sylow
+    projection of any unit in terms of them, with each exponent in
+    [0, order); on the 2-Sylow itself it inverts the generators.
     """
 
     modulus: int
@@ -51,7 +57,7 @@ class UnitGroupMod:
     _two_exp: int
     _odd_prime_power: int
     _odd_generator: int
-    _odd_order_factors: tuple[tuple[int, int], ...]  # factorisation of phi(p^a)
+    _projection: int  # = 1 mod 2^v2(phi(p^a)) and = 0 mod odd(phi(p^a))
 
     def dlog(self, x: int) -> tuple[int, ...]:
         x = x % self.modulus
@@ -65,7 +71,7 @@ class UnitGroupMod:
             sign = 0 if x2 % 4 == 1 else 1
             exps.append(sign)
             if k >= 3:
-                b = _dlog_five(M2 - x2 if sign else x2, k)
+                b = _dlog_two_power(M2 - x2 if sign else x2, 5, 1 << (k - 2), M2)
                 power = pow(5, b, M2)
                 if (M2 - power if sign else power) != x2:
                     raise TheoremViolation(
@@ -74,116 +80,42 @@ class UnitGroupMod:
                 exps.append(b)
         pa = self._odd_prime_power
         if pa > 1:
-            xp = x % pa
             g = self._odd_generator
-            e = _pohlig_hellman(xp, pa, self.generators[-1][1], self._odd_log_tables)
-            if e is None or pow(g, e, pa) != xp:
+            y = pow(x, self._projection, pa)  # the 2-Sylow part of x mod p^a
+            e = _dlog_two_power(y, g, self.generators[-1][1], pa)
+            if pow(g, e, pa) != y:
                 raise TheoremViolation(
-                    f"dlog of {x} mod {self.modulus}: {xp} is not a power of {g} mod {pa}"
+                    f"dlog of {x} mod {self.modulus}: {y} is not a power of {g} mod {pa}"
                 )
             exps.append(e)
         return tuple(exps)
 
-    @cached_property
-    def _odd_log_tables(self) -> tuple[_PrimeLogTable, ...]:
-        g, pa, factors = self._odd_generator, self._odd_prime_power, self._odd_order_factors
-        phi = math.prod(r**e for r, e in factors)
-        return tuple(_PrimeLogTable.build(g, pa, phi, r, e) for r, e in factors)
 
+def _dlog_two_power(y: int, g: int, n: int, m: int) -> int:
+    """An e in [0, n) with g^e = y mod m, for g of order n = 2^v mod m and
+    y in the span of g; the caller checks the result.
 
-def _dlog_five(y: int, k: int) -> int:
-    """The b in [0, 2^(k-2)) with 5^b = y mod 2^k, for y = 1 mod 4 and k >= 3.
-
-    5^(2^i) = 1 + 2^(i+2) mod 2^(i+3), so once the bits of b below i are
-    divided out of y, bit i of b is bit i+2 of what is left.
+    Once the bits of e below i are divided out of y, what is left has order
+    dividing 2^(v-i), and bit i of e is set iff its 2^(v-1-i)-th power is not 1.
     """
-    M2 = 1 << k
-    step = pow(5, -1, M2)  # 5^(-2^i), squared as i grows
-    b = 0
-    for i in range(k - 2):
-        if (y >> (i + 2)) & 1:
-            b |= 1 << i
-            y = y * step % M2
-        step = step * step % M2
-    return b
-
-
-@dataclass(frozen=True)
-class _PrimeLogTable:
-    """What Pohlig-Hellman needs, per prime power r^e exactly dividing the
-    order n of g mod m, to read off the exponent of g modulo r^e."""
-
-    r: int
-    e: int
-    cofactor: int  # n / r^e: raising to it projects onto the order-r^e part
-    crt: int  # = 1 mod r^e and = 0 mod n / r^e
-    g_r_inv: int  # g^(-n/r^e), inverse of that part's generator
-    baby: dict[int, int]  # gamma^i -> i for i < steps, gamma = g^(n/r) of order r
-    steps: int  # ceil(sqrt(r)), so steps^2 >= r
-    giant: int  # gamma^(-steps)
-
-    @classmethod
-    def build(cls, g: int, m: int, n: int, r: int, e: int) -> _PrimeLogTable:
-        re = r**e
-        cofactor = n // re
-        g_r = pow(g, cofactor, m)
-        gamma = pow(g_r, re // r, m)
-        steps = math.isqrt(r - 1) + 1
-        baby: dict[int, int] = {}
-        power = 1
-        for i in range(steps):
-            baby.setdefault(power, i)
-            power = power * gamma % m
-        crt = cofactor * pow(cofactor, -1, re)
-        return cls(r, e, cofactor, crt, pow(g_r, -1, m), baby, steps, pow(gamma, -steps, m))
-
-
-def _pohlig_hellman(x: int, m: int, n: int, tables: tuple[_PrimeLogTable, ...]) -> int | None:
-    """The exponent in [0, n) of x to the base g of order n mod m that
-    ``tables`` were built for, or None when some digit has no solution.
-
-    For each prime power r^e of n, x is projected into the subgroup of order
-    r^e; its exponent there is found one base-r digit at a time, each by
-    baby-step/giant-step in the subgroup of order r.  The residues mod each
-    r^e are combined by CRT.  The caller checks the result.
-    """
-    exponent = 0
-    for t in tables:
-        y = pow(x, t.cofactor, m)  # in the subgroup of order r^e
-        digits, place = 0, 1
-        for j in reversed(range(t.e)):
-            h = pow(y, t.r**j, m)  # in the subgroup of order r
-            for giant_step in range(t.steps):
-                i = t.baby.get(h)
-                if i is not None:
-                    break
-                h = h * t.giant % m
-            else:
-                return None
-            d = giant_step * t.steps + i
-            digits += d * place
-            if j:
-                y = y * pow(t.g_r_inv, d * place, m) % m  # strip the digit found
-            place *= t.r
-        exponent += digits * t.crt
-    return exponent % n
-
-
-def _primitive_root_mod_prime_power(p: int, a: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The least primitive root mod p^a and the factorisation of phi(p^a)."""
-    pa = p ** a
-    phi = (p - 1) * p ** (a - 1)
-    phi_factors = tuple(factorize(phi))
-    for g in range(2, pa):
-        if g % p == 0:
-            continue
-        if all(pow(g, phi // r, pa) != 1 for r, _ in phi_factors):
-            return g, phi_factors
-    raise TheoremViolation(f"no primitive root mod {p}^{a} = {pa}")
+    step = pow(g, -1, m)  # g^(-2^i), squared as i grows
+    e, bit = 0, 1
+    while bit < n:
+        if pow(y, n // (2 * bit), m) != 1:
+            e |= bit
+            y = y * step % m
+        step = step * step % m
+        bit <<= 1
+    return e
 
 
 def units_mod(M: int) -> UnitGroupMod:
-    """Generator/order description of (Z/M)* for M = 2^k * p^a, M >= 3."""
+    """Generators of the 2-Sylow of (Z/M)* for M = 2^k * p^a, M >= 3.
+
+    The odd generator is nu^(phi/2^v) for the least quadratic non-residue nu
+    mod p, where phi = phi(p^a) and v = v2(p - 1): nu has odd exponent over a
+    primitive root, so this power has order exactly 2^v.
+    """
     if M < 3:
         raise ValueError(f"modulus must be >= 3, got {M}")
     k = v2(M)
@@ -218,11 +150,15 @@ def units_mod(M: int) -> UnitGroupMod:
         gens.append((lift(M2 - 1, 1), 2))
         if k >= 3:
             gens.append((lift(5, 1), 1 << (k - 2)))
-    g_odd, phi_factors = 0, ()
+    g_two, projection = 0, 0
     if pa > 1:
-        g_odd, phi_factors = _primitive_root_mod_prime_power(p, a)
-        gens.append((lift(1, g_odd), (p - 1) * p ** (a - 1)))
-    return UnitGroupMod(M, tuple(gens), k if k >= 2 else 0, pa, g_odd, phi_factors)
+        n = 1 << v2(p - 1)
+        odd = (p - 1) // n * p ** (a - 1)  # phi(p^a) = n * odd
+        nu = next(r for r in range(2, p) if jacobi(r, p) == -1)
+        g_two = pow(nu, odd, pa)
+        projection = odd * pow(odd, -1, n)
+        gens.append((lift(1, g_two), n))
+    return UnitGroupMod(M, tuple(gens), k if k >= 2 else 0, pa, g_two, projection)
 
 
 def smith_invariant_factors(rows: list[list[int]], ngens: int) -> tuple[int, ...]:
@@ -324,19 +260,20 @@ def ray_quotient_report(p: int, q: int, k_max: int = 8) -> RayClassReport:
     if k_max < 5:
         raise ValueError(f"k_max must be >= 5, got {k_max}")
 
-    # The generators -1, 5, g of (Z/2^k_max p)* reduce mod 2^k p to those
-    # units_mod builds at level k, so one pair of dlogs serves every level:
-    # reduce each exponent mod that level's generator orders 2, 2^(k-2), p-1.
+    # The 2-part of G/H is G_2 modulo the 2-Sylow projection of H.  The
+    # generators -1, 5, g of the 2-Sylow of (Z/2^k_max p)* reduce mod 2^k p to
+    # those units_mod builds at level k, so one pair of dlogs serves every
+    # level: reduce each exponent mod that level's orders 2, 2^(k-2), 2^v.
     M = (1 << k_max) * p
     units = units_mod(M)
     relations = (units.dlog(M - 1), units.dlog(q))
+    order_p = units.generators[-1][1]  # 2^v2(p-1)
     per_level = []
     for k in range(3, k_max + 1):
-        orders = (2, 1 << (k - 2), p - 1)
+        orders = (2, 1 << (k - 2), order_p)
         rows = [[n if j == i else 0 for j in range(3)] for i, n in enumerate(orders)]
         rows += [[e % n for e, n in zip(r, orders)] for r in relations]
-        factors = smith_invariant_factors(rows, 3)
-        per_level.append((k, AbelianGroupStructure(factors).two_part))
+        per_level.append((k, AbelianGroupStructure(smith_invariant_factors(rows, 3))))
 
     final = _check_stabilized(p, q, per_level)
     kprime = _find_propagation_field(p, q)
@@ -402,20 +339,29 @@ def mirror_group_trivial(q: int, p: int) -> bool:
 def _mirror_group_trivial(q: int, p: int) -> bool:
     # mirror_group_trivial for a pair already validated
     full = v2(q - 1)
-    strong = v2(multiplicative_order(2, q)) == full
+    two = _v2_order(2, q)
+    strong = two == full
     # alternative reading: quotient additionally by -1 and p; in the cyclic
-    # group (Z/q)* the subgroup generated is cyclic of the lcm order
-    lcm = multiplicative_order(2, q)
-    lcm = lcm * 2 // math.gcd(lcm, 2)
-    op = multiplicative_order(p % q, q) if p % q else 1
-    lcm = lcm * op // math.gcd(lcm, op)
-    weak = v2(lcm) == full
+    # group (Z/q)* the subgroup generated is cyclic of the lcm order, whose
+    # 2-adic valuation is the largest of the three
+    weak = max(two, 1, _v2_order(p, q)) == full
     if strong != weak:
         raise TheoremViolation(
             f"mirror readings disagree for q={q}, p={p}: "
             f"quotient by <2> gives {strong}, by <2,-1,p> gives {weak}"
         )
     return strong
+
+
+def _v2_order(x: int, q: int) -> int:
+    """v2 of the order of the unit x mod the odd prime q: the number of
+    squarings that take x^odd(q-1), of 2-power order, to 1."""
+    y = pow(x, odd_part(q - 1), q)
+    for n in range(v2(q - 1) + 1):
+        if y == 1:
+            return n
+        y = y * y % q
+    raise TheoremViolation(f"{x} mod {q} has no order dividing {q - 1}")
 
 
 def reflection_ranks(p: int, q: int) -> tuple[int, int]:

@@ -10,7 +10,6 @@ from birat2 import (
     is_prime,
     jacobi,
     kronecker,
-    multiplicative_order,
     primes_up_to,
     squarefree_decompose,
 )
@@ -176,11 +175,3 @@ def test_field_discriminant():
     assert field_discriminant(-14) == -56
     with pytest.raises(ValueError):
         field_discriminant(1)
-
-
-def test_multiplicative_order():
-    assert multiplicative_order(2, 5) == 4
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(3, 16) == 4
-    with pytest.raises(ValueError):
-        multiplicative_order(2, 8)

@@ -273,9 +273,12 @@ def test_classify_help_prints_subcommand_help(capsys):
 
 
 def test_rayclass_bounded_work(capsys):
-    # a large p (the odd dlog) and the most levels (the 2-power dlog)
+    # large p, whose p - 1 has an odd part with no small factor (it is prime
+    # for the last two), and the most levels (the 2-power dlog of 5)
     for argv, order, kprime in (
         (("--p", "1000000123", "--q", "5"), 2, 2000000246),
+        (("--p", "1000000000001669", "--q", "3"), 4, 2000000000003338),
+        (("--p", "999999999999997133", "--q", "3"), 4, 1999999999999994266),
         (("--p", "3", "--q", "11", "--levels", "24"), 2, 3),
     ):
         start = time.perf_counter()

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 import subprocess
@@ -7,10 +8,9 @@ import sys
 import pytest
 
 from birat2 import (
-    FundamentalUnit,
+    ClassGroup,
     QuadForm,
     TheoremViolation,
-    fundamental_unit,
     genus_2rank,
     is_fundamental_discriminant,
     kronecker,
@@ -20,6 +20,7 @@ from birat2 import (
     verify_2rational_quadratic,
 )
 from birat2 import quadforms
+from birat2.cli import main
 from birat2.quadforms import canonical_rep, compose, principal_form, reduction_cycle
 
 
@@ -87,6 +88,54 @@ def test_real_narrow_class_numbers_frozen_anchors():
         assert narrow_class_group(D).order == h_plus, D
 
 
+def fundamental_unit(m):
+    """Reference fundamental unit (x + y sqrt(m))/2 of the real field
+    Q(sqrt(m)), as (x, y, norm): x, y > 0 minimal with x^2 - m y^2 = 4 norm.
+
+    The continued fraction of the maximal order's generator, sqrt(m) or
+    (1 + sqrt(m))/2, is followed until a complete quotient repeats; the
+    convergent matrix spanning that period fixes the generator and reads
+    off the unit.
+    """
+    half = m % 4 == 1
+    P, Q = (1, 2) if half else (0, 1)
+    sq = math.isqrt(m)
+    # convergent matrix [[p_{k-1}, p_{k-2}], [q_{k-1}, q_{k-2}]]
+    pm1, pm2, qm1, qm2 = 1, 0, 0, 1
+    seen = {}
+    while (P, Q) not in seen:
+        seen[P, Q] = (pm1, pm2, qm1, qm2)
+        a = (P + sq) // Q
+        P = a * Q - P
+        Q = (m - P * P) // Q
+        pm1, pm2 = a * pm1 + pm2, pm1
+        qm1, qm2 = a * qm1 + qm2, qm1
+    a11, a12, a21, a22 = seen[P, Q]
+    det = a11 * a22 - a12 * a21  # +-1
+    # the period matrix: now times the inverse of then
+    r = det * (pm1 * a22 - pm2 * a21)
+    s = det * (pm2 * a11 - pm1 * a12)
+    t = det * (qm1 * a22 - qm2 * a21)
+    u = det * (qm2 * a11 - qm1 * a12)
+    if half:
+        assert t + u - r == 0 and t * (m - 1) // 4 == s, m
+        x, y = 2 * u + t, t
+    else:
+        assert u == r and s == t * m, m
+        x, y = 2 * u, 2 * t
+    x, y = abs(x), abs(y)
+    norm = (x * x - m * y * y) // 4
+    assert norm in (1, -1) and x > 0 and y > 0 and x * x - m * y * y == 4 * norm, m
+    return x, y, norm
+
+
+def test_reference_fundamental_unit_examples():
+    assert fundamental_unit(2) == (2, 2, -1)  # 1 + sqrt(2)
+    assert fundamental_unit(7) == (16, 6, 1)  # 8 + 3 sqrt(7)
+    assert fundamental_unit(5) == (1, 1, -1)  # (1 + sqrt(5))/2
+    assert fundamental_unit(94) == (4286590, 442128, 1)
+
+
 def test_real_narrow_vs_ordinary_and_unit_norm():
     # the improper pairing (a,b,c) -> (-a,b,-c) merges classes in pairs
     # exactly when the fundamental unit has norm +1
@@ -100,8 +149,8 @@ def test_real_narrow_vs_ordinary_and_unit_norm():
             x: canonical_rep(QuadForm(-x.a, x.b, -x.c)) for x in group.elements
         }
         fixed = sum(1 for x, y in mirrored.items() if x == y)
-        unit = fundamental_unit(m)
-        if unit.norm_sign == -1:
+        _, _, norm = fundamental_unit(m)
+        if norm == -1:
             assert fixed == group.order, m
         else:
             assert fixed == 0, m
@@ -200,20 +249,76 @@ def test_compose_with_shared_leading_factor():
     assert assert_dirichlet_product(f1, QuadForm(-3, -13, 5)) == 3
 
 
-def test_self_checks_raise_theorem_violation(monkeypatch):
-    # raised, not asserted, so they hold under python -O
-    narrow_class_group.cache_clear()
+# Forged torsion counts: 1 solution of x^(p^k) = 1 for every k.  At D = -84
+# (C2 x C2) the eager 2-part then has order 1, not 4; at D = -23 (C3) the
+# lazy odd part has order 1, not 3, and invariant_factors must raise.
+FORGED_COUNTS_SCRIPT = """
+from birat2 import TheoremViolation, narrow_class_group, quadforms
+
+def forged(elements, step, kernel, e):
+    return [1] * (e + 1)
+
+narrow_class_group.cache_clear()
+quadforms._torsion_counts = forged
+try:
+    narrow_class_group(-84)
+except TheoremViolation as exc:
+    assert "D=-84" in str(exc), exc
+else:
+    raise SystemExit("forged 2-counts at D=-84 were not caught")
+quadforms._torsion_counts = real
+group = narrow_class_group(-23)
+quadforms._torsion_counts = forged
+try:
+    group.invariant_factors
+except TheoremViolation as exc:
+    assert "D=-23" in str(exc), exc
+else:
+    raise SystemExit("forged odd counts at D=-23 were not caught")
+quadforms._torsion_counts = real
+assert group.invariant_factors == (3,)
+"""
+
+
+def test_self_checks_raise_theorem_violation():
+    # raised, not asserted, so they hold under python -O: the eager 2-part
+    # order check, the lazy h check and the class-index miss
+    real = quadforms._torsion_counts
     try:
-        monkeypatch.setattr(quadforms, "_structure", lambda *args: (2,))
-        with pytest.raises(TheoremViolation, match="D=-23"):
-            narrow_class_group(-23)
-        monkeypatch.undo()
+        exec(FORGED_COUNTS_SCRIPT, {"real": real})
         group = narrow_class_group(-23)
         broken = dataclasses.replace(group, _index={})
         with pytest.raises(TheoremViolation, match=r"D=-23.*QuadForm"):
             broken.mul(group.identity, group.identity)
     finally:
+        quadforms._torsion_counts = real
         narrow_class_group.cache_clear()
+    script = "from birat2.quadforms import _torsion_counts as real\n" + FORGED_COUNTS_SCRIPT
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_builds_no_odd_structure(capsys):
+    # verify reads only 2-parts, so no group computes its invariant factors
+    narrow_class_group.cache_clear()
+    try:
+        assert main(["verify", "--bound", "300"]) == 0
+        assert narrow_class_group.cache_info().currsize > 0
+        groups = [g for g in gc.get_objects() if isinstance(g, ClassGroup)]
+        assert len(groups) >= narrow_class_group.cache_info().currsize
+        assert not [g.D for g in groups if "invariant_factors" in vars(g)]
+    finally:
+        narrow_class_group.cache_clear()
+    capsys.readouterr()
+
+
+def test_square_kernel_matches_mul():
+    for D in fundamental_discs(-2000, -3) + fundamental_discs(5, 2000):
+        group = narrow_class_group(D)
+        for x in group.elements:
+            a, b, _ = x
+            assert quadforms._square(a, b, D) == quadforms._compose(a, b, a, b, D), (D, x)
+            assert group._squares[x] == group.mul(x, x), (D, x)
 
 
 def test_non_definite_product_raises_theorem_violation():
@@ -248,52 +353,6 @@ def test_invariant_factor_chain_and_order():
             prev = d
             prod *= d
         assert prod == g.order
-
-
-def test_fundamental_unit_examples():
-    u = fundamental_unit(2)
-    assert (u.x, u.y, u.norm_sign) == (2, 2, -1)  # 1 + sqrt(2)
-    u = fundamental_unit(7)
-    assert (u.x, u.y, u.norm_sign) == (16, 6, 1)  # 8 + 3 sqrt(7)
-    u = fundamental_unit(5)
-    assert (u.x, u.y, u.norm_sign) == (1, 1, -1)  # (1 + sqrt(5))/2
-    with pytest.raises(ValueError):
-        fundamental_unit(12)
-    with pytest.raises(ValueError):
-        fundamental_unit(1)
-
-
-def brute_minimal_unit(m, y_cap):
-    for y in range(1, y_cap):
-        for target in (m * y * y - 4, m * y * y + 4):
-            if target < 0:
-                continue
-            x = math.isqrt(target)
-            if x * x == target and x > 0:
-                return FundamentalUnit(m, x, y, (x * x - m * y * y) // 4)
-    return None
-
-
-def test_fundamental_unit_minimality_small():
-    for m in range(2, 101):
-        if any(m % (k * k) == 0 for k in range(2, math.isqrt(m) + 1)):
-            continue
-        unit = fundamental_unit(m)
-        assert unit.x > 0 and unit.y > 0
-        assert unit.x * unit.x - m * unit.y * unit.y == 4 * unit.norm_sign
-        brute = brute_minimal_unit(m, 100_000)
-        if brute is not None and brute.y <= unit.y:
-            assert (unit.x, unit.y) == (brute.x, brute.y), m
-        else:
-            assert unit.y >= 100_000, m
-
-
-def test_fundamental_unit_pell_consistency_medium():
-    for m in (94, 151, 166, 211, 331, 421, 526, 571, 661, 991):
-        unit = fundamental_unit(m)
-        assert unit.x * unit.x - m * unit.y * unit.y == 4 * unit.norm_sign
-        if m % 4 != 1:
-            assert unit.x % 2 == 0 and unit.y % 2 == 0
 
 
 def test_restricted_quotient_examples():

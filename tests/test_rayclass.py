@@ -17,8 +17,8 @@ from birat2 import (
     reflection_ranks,
     units_mod,
 )
-from birat2.arith import factorize
-from birat2.rayclass import _reflection_ranks, smith_invariant_factors
+from birat2.arith import factorize, v2
+from birat2.rayclass import _reflection_ranks, _v2_order, smith_invariant_factors
 
 
 def test_abelian_structure_validation():
@@ -33,14 +33,18 @@ def test_abelian_structure_validation():
 
 
 def test_units_mod_examples():
+    # generators of the 2-Sylow: -1, 5 and nu^(phi/2^v) for the least
+    # non-residue nu
     u = units_mod(8)
     assert [(g % 8, n) for g, n in u.generators] == [(7, 2), (5, 2)]
     u = units_mod(9)
-    assert u.generators == ((2, 6),)
+    assert u.generators == ((8, 2),)  # 2^3; phi = 6
+    assert units_mod(13).generators == ((8, 4),)  # 2^3; phi = 12
+    assert units_mod(17).generators == ((3, 16),)  # 2 is a square mod 17
     u = units_mod(24)
     gens = u.generators
     assert [n for _, n in gens] == [2, 2, 2]
-    # the lifts reduce to (-1, 5) mod 8 and a primitive root mod 3
+    # the lifts reduce to (-1, 5) mod 8 and a non-residue mod 3
     assert gens[0][0] % 8 == 7 and gens[0][0] % 3 == 1
     assert gens[1][0] % 8 == 5 and gens[1][0] % 3 == 1
     assert gens[2][0] % 8 == 1 and gens[2][0] % 3 == 2
@@ -51,20 +55,37 @@ def test_units_mod_rejects_bad_shapes():
         units_mod(15)  # 3 * 5: two odd primes
     with pytest.raises(ValueError):
         units_mod(2)
+    # odd parts past the primality-test bound: factorize, not is_prime, reads them
+    with pytest.raises(ValueError, match="unsupported modulus shape"):
+        units_mod(32 * 3 * 5**40)
+
+
+def test_units_mod_large_prime_power():
+    M = 3**60
+    u = units_mod(M)
+    ((g, n),) = u.generators
+    assert n == 2 and g == M - 1  # the 2-Sylow of (Z/3^60)* is {1, -1}
+    assert u.dlog(2) == (1,) and u.dlog(4) == (0,)
 
 
 def test_units_mod_dlog_roundtrip():
-    for M in (8, 9, 16, 24, 40, 48, 27, 96, 11, 22):
+    # the generators' power is the 2-Sylow projection y of x: y has 2-power
+    # order and x / y odd order; on the 2-Sylow itself, y = x
+    for M in (8, 9, 16, 24, 40, 48, 27, 96, 11, 22, 17, 68, 125, 194):
         u = units_mod(M)
-        for x in range(1, M):
-            if math.gcd(x, M) != 1:
-                continue
+        units = [x for x in range(1, M) if math.gcd(x, M) == 1]
+        odd = len(units) >> v2(len(units))
+        two_power = 1 << M.bit_length()  # at least the order of the group
+        for x in units:
             exps = u.dlog(x)
             value = 1
             for (g, n), e in zip(u.generators, exps):
                 assert 0 <= e < n
                 value = value * pow(g, e, M) % M
-            assert value == x % M, (M, x)
+            assert pow(value, two_power, M) == 1, (M, x)
+            assert pow(x * pow(value, -1, M), odd, M) == 1, (M, x)
+            if pow(x, two_power, M) == 1:
+                assert value == x, (M, x)
 
 
 def test_dlog_failure_raises_theorem_violation():
@@ -86,11 +107,12 @@ def test_dlog_failure_raises_theorem_violation():
 
 
 def linear_dlog_tables(u):
-    """Reference dlog by linear search, the algorithm dlog used before
-    Pohlig-Hellman: walk +-5^b mod 2^k and g^e mod p^a, keep the first hit.
+    """Reference dlog by linear search: walk +-5^b mod 2^k and g^e mod p^a,
+    keep the first hit.
 
-    Returns (two, odd): residue mod 2^k -> exponents of (-1, 5), and residue
-    mod p^a -> exponent of g.
+    Returns (two, odd, t): residue mod 2^k -> exponents of (-1, 5), residue
+    mod p^a -> exponent of g, and the exponent t that projects a unit mod p^a
+    onto the 2-Sylow (t = 1 mod 2^v and t = 0 mod the odd part of phi(p^a)).
     """
     k, pa, g = u._two_exp, u._odd_prime_power, u._odd_generator
     two = {0: ()}  # no 2-part: residues mod 2^0 = 1
@@ -102,13 +124,18 @@ def linear_dlog_tables(u):
             two.setdefault(power, (0, b))
             two.setdefault(M2 - power, (1, b))
             power = power * 5 % M2
-    odd = {0: ()}
+    odd, t = {0: ()}, 1
     if pa > 1:
+        p = factorize(pa)[0][0]
+        phi = pa - pa // p
+        n = phi & -phi
+        assert pow(g, n, pa) == 1 and pow(g, n // 2, pa) != 1  # order 2^v
+        t = next(t for t in range(0, phi, phi // n) if t % n == 1)
         odd, power = {}, 1
-        for e in range(pa):
+        for e in range(n):
             odd.setdefault(power, (e,))
             power = power * g % pa
-    return two, odd
+    return two, odd, t
 
 
 def supported_moduli(bound):
@@ -125,23 +152,27 @@ def test_dlog_matches_linear_search_exhaustive():
     assert {4, 8, 3, 6, 12, 24, 9, 18, 36, 72} <= set(moduli)
     for M in moduli:
         u = units_mod(M)
-        two, odd = linear_dlog_tables(u)
+        two, odd, t = linear_dlog_tables(u)
         M2, pa = 1 << u._two_exp, u._odd_prime_power
         for x in range(1, M):
             if math.gcd(x, M) == 1:
-                assert u.dlog(x) == two[x % M2] + odd[x % pa], (M, x)
+                assert u.dlog(x) == two[x % M2] + odd[pow(x, t, pa)], (M, x)
 
 
-@pytest.mark.parametrize("p", [1000000123, 119993, 100003])
+@pytest.mark.parametrize("p", [1000000123, 119993, 100003, 998244353])
 def test_dlog_matches_sympy_discrete_log(p):
+    # the exponent of the 2-Sylow projection x^t, t = 1 mod 2^v, t = 0 mod odd
     ntheory = pytest.importorskip("sympy.ntheory")
     u = units_mod(p)
     (g, n), = u.generators
-    assert n == p - 1
+    assert n == 1 << v2(p - 1) and ntheory.n_order(g, p) == n
+    odd = (p - 1) // n
+    t = odd * pow(odd, -1, n)
     for x in (2, 3, 5, p - 1, p - 2, 12345, 7 * p // 11, (p + 1) // 2):
         (e,) = u.dlog(x)
-        assert e == ntheory.discrete_log(p, x, g), (p, x)
-        assert pow(g, e, p) == x % p
+        y = pow(x, t, p)
+        assert e == ntheory.discrete_log(p, y, g), (p, x)
+        assert pow(g, e, p) == y
 
 
 def test_smith_invariant_factors_known_cases():
@@ -229,8 +260,9 @@ def test_ray_quotient_matches_level_by_level_build():
 
 
 def test_top_level_dlog_reduces_to_every_level():
-    # the generators -1, 5, g of (Z/2^14 p)* reduce to those of (Z/2^k p)*;
-    # a generator of order 1 at level k (5 for k <= 2, -1 for k <= 1) drops out
+    # the generators -1, 5, g of the 2-Sylow of (Z/2^14 p)* reduce to those
+    # of (Z/2^k p)*; a generator of order 1 at level k (5 for k <= 2, -1 for
+    # k <= 1) drops out
     primitive = [r for r in primes_up_to(200) if r % 8 in (3, 5)]
     for p in (3, 5, 11, 13, 101, 197):
         top = units_mod((1 << 14) * p)
@@ -238,7 +270,7 @@ def test_top_level_dlog_reduces_to_every_level():
         top_exps = {x: top.dlog(x) for x in xs if math.gcd(x, top.modulus) == 1}
         for k in range(0, 15):
             level = units_mod((1 << k) * p)
-            orders = (2 if k >= 2 else 1, 1 << (k - 2) if k >= 3 else 1, p - 1)
+            orders = (2 if k >= 2 else 1, 1 << (k - 2) if k >= 3 else 1, 1 << v2(p - 1))
             for x, exps in top_exps.items():
                 reduced = tuple(e % n for e, n in zip(exps, orders) if n > 1)
                 assert reduced == level.dlog(x), (p, k, x)
@@ -351,6 +383,25 @@ def test_mirror_examples():
         mirror_group_trivial(7, 3)
     with pytest.raises(ValueError):
         mirror_group_trivial(5, 5)
+
+
+def brute_order(x, q):
+    order, y = 1, x % q
+    while y != 1:
+        y = y * x % q
+        order += 1
+    return order
+
+
+def test_v2_order_by_squaring_matches_brute_force():
+    # the mirror readings: v2 of the orders of 2 and p mod q
+    primitive = [r for r in primes_up_to(2000) if r % 8 in (3, 5)]
+    for q in primitive:
+        for x in [2, q - 1] + [p for p in primitive if p < 60 and p != q]:
+            assert _v2_order(x, q) == v2(brute_order(x, q)), (x, q)
+        assert mirror_group_trivial(q, 3 if q != 3 else 5) == (
+            v2(brute_order(2, q)) == v2(q - 1)
+        ), q
 
 
 def test_reflection_examples():
