@@ -225,18 +225,19 @@ class OddPrime:
     value: int
 
     def __post_init__(self) -> None:
-        if self.value < 3 or self.value % 2 == 0 or not is_prime(self.value):
-            raise ValueError(f"{self.value} is not an odd prime")
+        check_odd_prime(self.value, "value")
 
     def __int__(self) -> int:
         return self.value
 
 
 def check_odd_prime(q: int | OddPrime, name: str = "q") -> int:
-    """Coerce to int and validate oddness and primality."""
+    """Coerce to int and validate oddness and primality (one is_prime call)."""
     q = int(q)
+    if q == 2:
+        raise ValueError(f"{name}=2 is dyadic, not an odd prime")
     if q < 3 or q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"{name}={q} must be an odd prime")
+        raise ValueError(f"{name}={q} is not prime")
     return q
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .arith import factorize, is_prime, jacobi
+from .arith import jacobi, squarefree_decompose
 from .fields import (
     FieldSignature,
     MultiquadField,
     adjoin_sqrt2,
     imaginary_labels,
+    quadratic_subfields,
     real_part,
 )
 from .towerdec import PRIMITIVE, PrimePlace, PrimitivityClass
@@ -126,10 +127,10 @@ def is_2birational_quadratic(d: int) -> Verdict:
     d = int(d)
     if d < 1:
         raise ValueError(f"expected a positive squarefree d, got {d}")
-    fac = factorize(d)
-    if any(e > 1 for _, e in fac):
+    s, f = squarefree_decompose(d)
+    if f != 1:
         raise ValueError(f"d={d} is not squarefree")
-    primes = [p for p, _ in fac]
+    primes = list(s.primes)
     if len(primes) == 1 and d != 1:
         q = primes[0]
         ok = q % 2 == 1 and q % 16 == 7
@@ -217,21 +218,18 @@ def is_2birational_multiquadratic(field: MultiquadField) -> Verdict:
 
     normalized = adjoin_sqrt2(field)
     real_odd = sorted({p for b in normalized.real_subfield_basis for p in b.odd_primes})
-    odd_imag = [l for l in imaginary_labels(normalized) if l % 2]
+    odd_imag = [s for s in quadratic_subfields(normalized) if s.value < 0 and s.value % 2]
 
     if not real_odd:
         # real part of the normalized field is <2>
-        d = -odd_imag[0]
+        d = -odd_imag[0].value
         evidence.append(_ev("normalized imaginary label", True, d=d))
         if d == 1:
             return _negative(
                 "contains_sqrt_minus_one",
                 evidence + [_ev("d != 1", False, d=d)],
             )
-        dfac = factorize(d)
-        dprimes = [p for p, _ in dfac]
-        if any(e > 1 for _, e in dfac):  # labels are squarefree; guard
-            return _negative("wrong_shape", evidence)
+        dprimes = list(odd_imag[0].primes)
         if len(dprimes) == 1:
             ok = d % 16 == 7
             evidence.append(_ev("d = q prime, q = 7 (mod 16)", ok, q=d, q_mod_16=d % 16))
@@ -259,13 +257,13 @@ def is_2birational_multiquadratic(field: MultiquadField) -> Verdict:
 
     # real part of the normalized field is <2, p>
     p = real_odd[0]
-    q_candidates = [-l for l in odd_imag if -l != p and -l != 1 and is_prime(-l)]
+    q_candidates = [s.primes[0] for s in odd_imag if len(s.primes) == 1 and s.primes[0] != p]
     evidence.append(
         _ev(
             "imaginary part has a presentation -q with q prime, q != p",
             bool(q_candidates),
             p=p,
-            odd_imaginary_labels=odd_imag,
+            odd_imaginary_labels=[s.value for s in odd_imag],
             candidates=q_candidates,
         )
     )

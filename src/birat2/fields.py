@@ -101,20 +101,9 @@ class MultiquadField:
         return "Q(" + ", ".join(f"sqrt({v})" for v in self.labels) + ")"
 
 
-def make_field(gens: Iterable[int]) -> MultiquadField:
-    """Canonical multiquadratic field generated by the given labels.
-
-    Generators are reduced modulo squares; duplicates and dependent
-    generators are absorbed.  Rejects 0 and values reducing to 1.
-    An empty generator list gives the rationals (dim 0).
-    """
-    vectors = []
-    for g in gens:
-        s, _ = squarefree_decompose(int(g))
-        if s.value == 1:
-            raise ValueError(f"generator {g} reduces to a square")
-        vectors.append(_to_atoms(s))
-    rows = _rref(vectors)
+def field_from_labels(labels: Iterable[SquarefreeInt]) -> MultiquadField:
+    """Canonical multiquadratic field generated by labels already factored."""
+    rows = _rref(_to_atoms(s) for s in labels)
     basis = sorted((_atoms_to_squarefree(r) for r in rows), key=_label_sort_key)
     real = tuple(b for b in basis if b.value > 0)
     signature = (
@@ -123,9 +112,25 @@ def make_field(gens: Iterable[int]) -> MultiquadField:
     return MultiquadField(tuple(basis), len(basis), signature, real)
 
 
+def make_field(gens: Iterable[int]) -> MultiquadField:
+    """Canonical multiquadratic field generated by the given labels.
+
+    Generators are reduced modulo squares, each factored once; duplicates
+    and dependent generators are absorbed.  Rejects 0 and values reducing
+    to 1.  An empty generator list gives the rationals (dim 0).
+    """
+    labels = []
+    for g in gens:
+        s, _ = squarefree_decompose(int(g))
+        if s.value == 1:
+            raise ValueError(f"generator {g} reduces to a square")
+        labels.append(s)
+    return field_from_labels(labels)
+
+
 def adjoin_sqrt2(field: MultiquadField) -> MultiquadField:
     """Compositum with Q(sqrt(2)); idempotent when 2 is already present."""
-    return make_field(field.labels + (2,))
+    return field_from_labels(field.basis + (SquarefreeInt(2, (2,)),))
 
 
 def quadratic_subfields(field: MultiquadField) -> list[SquarefreeInt]:
@@ -152,4 +157,4 @@ def imaginary_labels(field: MultiquadField) -> list[int]:
 
 def real_part(field: MultiquadField) -> MultiquadField:
     """The maximal totally real subfield."""
-    return make_field(field.real_labels)
+    return field_from_labels(field.real_subfield_basis)

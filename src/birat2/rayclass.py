@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from .abelian import AbelianGroupStructure
 from .arith import (
     SquarefreeInt,
-    check_odd_prime,
     factorize,
     field_discriminant,
     jacobi,
@@ -38,7 +37,7 @@ from .arith import (
     v2,
 )
 from .errors import TheoremViolation
-from .towerdec import primitivity_over_Q
+from .towerdec import check_primitive_pair
 
 
 @dataclass(frozen=True)
@@ -121,16 +120,20 @@ def units_mod(M: int) -> UnitGroupMod:
     k = v2(M)
     rest = M >> k
     if rest == 1:
-        p, a = 1, 0
-    else:
-        fac = factorize(rest)
-        if len(fac) != 1:
-            raise ValueError(
-                f"unsupported modulus shape {M}: expected 2^k times a prime power"
-            )
-        p, a = fac[0]
+        return _units_mod(k, 1, 0)
+    fac = factorize(rest)
+    if len(fac) != 1:
+        raise ValueError(
+            f"unsupported modulus shape {M}: expected 2^k times a prime power"
+        )
+    return _units_mod(k, *fac[0])
+
+
+def _units_mod(k: int, p: int, a: int) -> UnitGroupMod:
+    # units_mod(2^k * p^a) for a modulus already factored (p = 1 when a = 0)
     pa = p ** a if a else 1
     M2 = 1 << k
+    M = M2 * pa
 
     def lift(residue_two: int, residue_odd: int) -> int:
         # CRT lift to mod M
@@ -236,27 +239,13 @@ class RayClassReport:
         }
 
 
-def _require_primitive_pair(p: int, q: int) -> tuple[int, int]:
-    # p and q as ints, checked in turn: odd prime, primitive; then distinct
-    pair = []
-    for name, r in (("p", p), ("q", q)):
-        r = check_odd_prime(r, name)
-        cls = primitivity_over_Q(r)
-        if not cls.is_primitive:
-            raise ValueError(f"{name}={r} is not primitive ({r} mod 8 = {r % 8}; it is {cls})")
-        pair.append(r)
-    if pair[0] == pair[1]:
-        raise ValueError("p and q must be distinct")
-    return pair[0], pair[1]
-
-
 def ray_quotient_report(p: int, q: int, k_max: int = 8) -> RayClassReport:
     """2-part of (Z/2^k p)*/<-1, q> for k = 3..k_max, with stabilization checks.
 
     For primitive p and q the structure stabilizes to a cyclic group of
     order 2^v2(p-1); any other outcome raises TheoremViolation.
     """
-    p, q = _require_primitive_pair(p, q)
+    p, q = check_primitive_pair(p, q)
     if k_max < 5:
         raise ValueError(f"k_max must be >= 5, got {k_max}")
 
@@ -264,9 +253,8 @@ def ray_quotient_report(p: int, q: int, k_max: int = 8) -> RayClassReport:
     # generators -1, 5, g of the 2-Sylow of (Z/2^k_max p)* reduce mod 2^k p to
     # those units_mod builds at level k, so one pair of dlogs serves every
     # level: reduce each exponent mod that level's orders 2, 2^(k-2), 2^v.
-    M = (1 << k_max) * p
-    units = units_mod(M)
-    relations = (units.dlog(M - 1), units.dlog(q))
+    units = _units_mod(k_max, p, 1)
+    relations = (units.dlog(-1), units.dlog(q))
     order_p = units.generators[-1][1]  # 2^v2(p-1)
     per_level = []
     for k in range(3, k_max + 1):
@@ -303,11 +291,12 @@ def find_propagation_field(p: int, q: int) -> SquarefreeInt:
     primitive q is inert, so exactly one of the two splits q.  The returned
     field automatically has a unique dyadic place.
     """
-    return _find_propagation_field(*_require_primitive_pair(p, q))
+    return _find_propagation_field(*check_primitive_pair(p, q))
 
 
 def _find_propagation_field(p: int, q: int) -> SquarefreeInt:
-    # find_propagation_field for a pair already validated
+    # find_propagation_field for a pair already validated; the label is p or
+    # 2p, so its factorization is known
     candidates = [p, 2 * p]
     symbols = {m: kronecker(field_discriminant(m), q) for m in candidates}
     split = [m for m, s in symbols.items() if s == 1]
@@ -321,7 +310,7 @@ def _find_propagation_field(p: int, q: int) -> SquarefreeInt:
         raise TheoremViolation(
             f"chosen field Q(sqrt({m})) has a split dyadic place"
         )
-    return SquarefreeInt.from_int(m)
+    return SquarefreeInt(m, (p,) if m == p else (2, p))
 
 
 def mirror_group_trivial(q: int, p: int) -> bool:
@@ -332,7 +321,7 @@ def mirror_group_trivial(q: int, p: int) -> bool:
     also kills -1 and p is checked to agree, and a disagreement raises
     TheoremViolation.
     """
-    p, q = _require_primitive_pair(p, q)
+    p, q = check_primitive_pair(p, q)
     return _mirror_group_trivial(q, p)
 
 

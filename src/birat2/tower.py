@@ -12,14 +12,14 @@ bases is out of scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .arith import SquarefreeInt, is_prime
-from .classify import Verdict, is_2birational_multiquadratic, is_2birational_quadratic
+from .arith import SquarefreeInt
+from .classify import Verdict, is_2birational_multiquadratic
 from .errors import TheoremViolation
-from .fields import MultiquadField, make_field
-from .rayclass import find_propagation_field
-from .towerdec import primitivity_over_Q
+from .fields import MultiquadField, field_from_labels
+from .rayclass import _find_propagation_field
+from .towerdec import check_primitive_pair
 
 CHOICE_P = "P"
 CHOICE_Q = "Q"
@@ -91,29 +91,8 @@ class TowerPlan:
 
 
 def _check_admissible(p: int, q: int) -> tuple[int, int]:
-    for name, value in (("p", p), ("q", q)):
-        value = int(value)
-        if value < 2 or not is_prime(value):
-            raise ValueError(f"{name}={value} is not prime")
-    p, q = int(p), int(q)
-    if p == q:
-        raise ValueError("p and q must be distinct")
-    for name, value in (("p", p), ("q", q)):
-        if value == 2:
-            raise ValueError(f"{name}=2 is dyadic, not a tame place")
-        cls = primitivity_over_Q(value)
-        if not cls.is_primitive:
-            extra = (
-                "; a tower needs two primitive tame places, and a "
-                "semi-primitive place cannot support propagation"
-                if cls.is_semi_primitive
-                else ""
-            )
-            raise ValueError(
-                f"{name}={value} is not primitive ({value} mod 8 = {value % 8}, "
-                f"{cls}){extra}"
-            )
-    base = is_2birational_quadratic(p * q)
+    p, q = check_primitive_pair(p, q)
+    base = is_2birational_multiquadratic(field_from_labels([_base_label(p, q)]))
     if not base.positive:
         raise ValueError(
             f"Q(sqrt({-p * q})) is not 2-birational "
@@ -121,6 +100,36 @@ def _check_admissible(p: int, q: int) -> tuple[int, int]:
             f"got p mod 8 = {p % 8}, q mod 8 = {q % 8})"
         )
     return p, q
+
+
+def _base_label(p: int, q: int) -> SquarefreeInt:
+    return SquarefreeInt(-p * q, (min(p, q), max(p, q)))
+
+
+def _certificates(choices: str) -> tuple[StepCertificate, ...]:
+    if any(c not in (CHOICE_P, CHOICE_Q) for c in choices):
+        raise ValueError(f"choices must be a word over P/Q, got {choices!r}")
+    steps = []
+    for i, choice in enumerate(choices, start=1):
+        status = CHECKED if i == 1 else SYMBOLIC
+        steps.append(
+            StepCertificate(
+                i, choice, tuple(Obligation(n, status) for n in OBLIGATION_NAMES)
+            )
+        )
+    return tuple(steps)
+
+
+def _realize(p: int, q: int, choice: str) -> RealizedStep:
+    kprime = _find_propagation_field(*((p, q) if choice == CHOICE_P else (q, p)))
+    lprime = field_from_labels([_base_label(p, q), kprime])
+    verdict = is_2birational_multiquadratic(lprime)
+    if not verdict.positive:
+        raise TheoremViolation(
+            f"realized step for (p={p}, q={q}, choice={choice}) classified "
+            f"negative: {verdict.case}"
+        )
+    return RealizedStep(kprime, lprime, verdict)
 
 
 def plan_tower(p: int, q: int, choices: str) -> TowerPlan:
@@ -131,22 +140,11 @@ def plan_tower(p: int, q: int, choices: str) -> TowerPlan:
     previous step is in place.
     """
     p, q = _check_admissible(p, q)
-    if any(c not in (CHOICE_P, CHOICE_Q) for c in choices):
-        raise ValueError(f"choices must be a word over P/Q, got {choices!r}")
-    steps = []
-    for i, choice in enumerate(choices, start=1):
-        if i == 1:
-            # realizability check: the finder validates every obligation
-            find_propagation_field(*((p, q) if choice == CHOICE_P else (q, p)))
-            status = CHECKED
-        else:
-            status = SYMBOLIC
-        steps.append(
-            StepCertificate(
-                i, choice, tuple(Obligation(n, status) for n in OBLIGATION_NAMES)
-            )
-        )
-    return TowerPlan(p, q, choices, tuple(steps))
+    steps = _certificates(choices)
+    if choices:
+        # realizability check: the finder validates every obligation
+        _find_propagation_field(*((p, q) if choices[0] == CHOICE_P else (q, p)))
+    return TowerPlan(p, q, choices, steps)
 
 
 def realize_step1(p: int, q: int, choice: str) -> RealizedStep:
@@ -159,20 +157,12 @@ def realize_step1(p: int, q: int, choice: str) -> RealizedStep:
     p, q = _check_admissible(p, q)
     if choice not in (CHOICE_P, CHOICE_Q):
         raise ValueError(f"choice must be P or Q, got {choice!r}")
-    kprime = find_propagation_field(*((p, q) if choice == CHOICE_P else (q, p)))
-    lprime = make_field([-p * q, kprime.value])
-    verdict = is_2birational_multiquadratic(lprime)
-    if not verdict.positive:
-        raise TheoremViolation(
-            f"realized step for (p={p}, q={q}, choice={choice}) classified "
-            f"negative: {verdict.case}"
-        )
-    return RealizedStep(kprime, lprime, verdict)
+    return _realize(p, q, choice)
 
 
 def plan_and_realize(p: int, q: int, choices: str) -> TowerPlan:
     """plan_tower plus the realized first step when the word is nonempty."""
-    plan = plan_tower(p, q, choices)
-    if choices:
-        plan = replace(plan, realized_step1=realize_step1(p, q, choices[0]))
-    return plan
+    p, q = _check_admissible(p, q)
+    steps = _certificates(choices)
+    realized = _realize(p, q, choices[0]) if choices else None
+    return TowerPlan(p, q, choices, steps, realized)

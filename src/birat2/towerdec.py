@@ -165,13 +165,32 @@ def decomposition_profile(q: int | OddPrime, depth: int = DEFAULT_DEPTH) -> Towe
 def primitivity_over_Q(q: int | OddPrime) -> PrimitivityClass:
     """Primitivity of the place q of Q: primitive iff q = +-3 (mod 8),
     semi-primitive iff q = +-7 (mod 16), imprimitive otherwise."""
-    q = check_odd_prime(q)
+    return _primitivity(check_odd_prime(q))
+
+
+def _primitivity(q: int) -> PrimitivityClass:
+    # primitivity_over_Q for an odd prime already validated
     return PrimitivityClass.from_split_depth(_sign_level(q) - 2)
 
 
+def check_primitive_pair(p: int, q: int) -> tuple[int, int]:
+    """The pair validator of ray quotients and towers: p and q as ints, each
+    an odd prime (one primality test) and primitive, then distinct."""
+    pair = []
+    for name, r in (("p", p), ("q", q)):
+        r = check_odd_prime(r, name)
+        cls = _primitivity(r)
+        if not cls.is_primitive:
+            raise ValueError(f"{name}={r} is not primitive ({r} mod 8 = {r % 8}; it is {cls})")
+        pair.append(r)
+    if pair[0] == pair[1]:
+        raise ValueError("p and q must be distinct")
+    return pair[0], pair[1]
+
+
 def prime_place(q: int | OddPrime, depth: int = DEFAULT_DEPTH) -> PrimePlace:
-    q = check_odd_prime(q)
-    return PrimePlace(q, decomposition_profile(q, depth), primitivity_over_Q(q))
+    profile = decomposition_profile(q, depth)
+    return PrimePlace(profile.prime, profile, _primitivity(profile.prime))
 
 
 def place_primitivity_in_quadratic(
@@ -187,9 +206,7 @@ def place_primitivity_in_quadratic(
     """
     q = check_odd_prime(q)
     m = int(m)
-    if m in (0, 1):
-        raise ValueError(f"m={m} does not label a quadratic field")
-    s, f = squarefree_decompose(m)
+    _, f = squarefree_decompose(m)
     if f != 1:
         raise ValueError(f"m={m} is not squarefree")
     symbol = kronecker(field_discriminant(m), q)

@@ -287,3 +287,26 @@ def test_rayclass_bounded_work(capsys):
         payload = json.loads(out)
         assert code == 0 and payload["stabilized_order"] == order
         assert payload["quadratic_character"] == kprime
+
+
+def test_tower_large_primitive_pair(capsys):
+    # p * q ~ 1e18 has no small factor: the pair is validated as two primes
+    # and never factored as a product
+    p, q = 1000000123, 1000000021
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "tower", "--p", str(p), "--q", str(q), "--choices", "PQ", "--realize"
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    step = json.loads(out)["realized_step1"]
+    assert step["kprime"] in (p, 2 * p) and step["verdict"]["positive"]
+
+
+def test_classify_labels_beyond_the_primality_bound(capsys):
+    # the subfield label -pq ~ 1e26 is past is_prime's deterministic range;
+    # the classifier reads its primes from the factored generators
+    code, out, _ = run_cli(capsys, "classify", "-10000000000051,10000000000037")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["positive"] and payload["case"].startswith("BIR_B_")

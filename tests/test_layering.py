@@ -45,3 +45,22 @@ def test_form_oracle_does_not_import_the_ray_oracle():
     assert "rayclass" not in import_closure("quadforms")
     assert "abelian" in package_imports("quadforms")
     assert "abelian" in package_imports("rayclass")
+
+
+def arith_work(module):
+    """The names ``factorize`` and ``is_prime`` that ``module`` imports or
+    reaches as an attribute."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    work = {"factorize", "is_prime"}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names if a.name in work)
+        elif isinstance(node, ast.Attribute) and node.attr in work:
+            out.add(node.attr)
+    return out
+
+
+def test_classifiers_and_tower_read_primes_from_labels():
+    for module in ("classify", "tower"):
+        assert not arith_work(module), (module, sorted(arith_work(module)))
