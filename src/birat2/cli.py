@@ -4,6 +4,11 @@ Commands: classify, enumerate, verify, kprime, rayclass, tower, classgroups.
 JSON payloads carry a ``schema: 1`` field; CSV output starts with a
 ``# schema=1`` line.  Exit codes: 0 for positive/success, 1 for a negative
 verdict or failed checks, 2 for errors.  Output is byte-stable across runs.
+
+``verify`` runs each cross-check suite through one runner: a case whose check
+returns False or raises ``TheoremViolation`` fails once, an
+``EffortBoundExceeded`` counts as an effort error; either gives exit 1 with
+the payload written.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import io
 import json
 import math
 import sys
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .arith import primes_up_to
 from .classify import (
@@ -86,28 +91,22 @@ def cmd_classify(spec: str, output: str | None) -> int:
 
 
 def _enumerate_rows(kind: str, bound: int) -> list[dict]:
-    rows = []
+    mask = _squarefree_mask(bound)
+    squarefree = [m for m in range(1, bound + 1) if mask[m]]
     if kind == "quad-birational":
-        mask = _squarefree_mask(bound)
-        for d in range(1, bound + 1):
-            if not mask[d]:
-                continue
-            verdict = is_2birational_quadratic(d)
-            if verdict.positive:
-                summary = "; ".join(e.condition for e in verdict.evidence if e.ok)
-                rows.append({"label": d, "case": verdict.case, "evidence": summary})
+        labels, classify = squarefree, is_2birational_quadratic
     elif kind == "multiquad-rational":
-        mask = _squarefree_mask(bound)
-        labels = [m for m in range(2, bound + 1) if mask[m]]
-        labels += [-m for m in range(1, bound + 1) if mask[m]]
-        labels.sort(key=lambda v: (v < 0, abs(v)))
-        for m in labels:
-            verdict = is_2rational_multiquadratic(make_field([m]))
-            if verdict.positive:
-                summary = "; ".join(e.condition for e in verdict.evidence if e.ok)
-                rows.append({"label": m, "case": verdict.case, "evidence": summary})
+        # positive labels ascending (1 is squarefree[0]), then negative ones by size
+        labels = squarefree[1:] + [-m for m in squarefree]
+        classify = lambda m: is_2rational_multiquadratic(make_field([m]))
     else:
         raise ValueError(f"unknown enumeration kind {kind!r}")
+    rows = []
+    for label in labels:
+        verdict = classify(label)
+        if verdict.positive:
+            summary = "; ".join(e.condition for e in verdict.evidence if e.ok)
+            rows.append({"label": label, "case": verdict.case, "evidence": summary})
     return rows
 
 
@@ -128,13 +127,31 @@ def cmd_enumerate(kind: str, bound: int, fmt: str, output: str | None) -> int:
     if fmt == "csv":
         _emit(_rows_to_csv(rows, ["label", "case", "evidence"]), output)
     else:
-        _emit(
-            _json_payload(
-                {"command": "enumerate", "kind": kind, "bound": bound, "rows": rows}
-            ),
-            output,
-        )
+        payload = {"command": "enumerate", "kind": kind, "bound": bound, "rows": rows}
+        _emit(_json_payload(payload), output)
     return 0
+
+
+def _suite(name: str, cases: Iterable, check: Callable[[object], bool]) -> dict:
+    """Counts of one cross-check suite under the policy in the module
+    docstring; any other exception propagates."""
+    checked = failed = effort = 0
+    for case in cases:
+        checked += 1
+        try:
+            ok = check(case)
+        except TheoremViolation:
+            ok = False
+        except EffortBoundExceeded:
+            effort += 1
+            continue
+        failed += not ok
+    return {"name": name, "checked": checked, "failed": failed, "effort_errors": effort}
+
+
+def _ray_laws_hold(pair: tuple[int, int]) -> bool:
+    report = ray_quotient_report(*pair, k_max=10)
+    return _reflection_ranks(report) == (1, 0) and report.stabilized_order.bit_count() == 1
 
 
 def cmd_verify(bound: int, output: str | None) -> int:
@@ -146,76 +163,28 @@ def cmd_verify(bound: int, output: str | None) -> int:
             f"bound {bound} exceeds the oracle verification limit {VERIFY_MAX_BOUND}"
         )
     mask = _squarefree_mask(bound)
-    suites = []
-
-    checked = failed = effort = 0
-    for d in range(1, bound + 1):
-        if not mask[d]:
-            continue
-        if not is_2birational_quadratic(d).positive:
-            continue
-        checked += 1
-        try:
-            if verify_2birational_quadratic_oracle(d) != (True, True):
-                failed += 1
-        except EffortBoundExceeded:
-            effort += 1
-    suites.append(
-        {
-            "name": "quadratic-birational-vs-form-oracle",
-            "checked": checked,
-            "failed": failed,
-            "effort_errors": effort,
-        }
-    )
-
-    checked = failed = effort = 0
-    for m in range(-bound, bound + 1):
-        if m in (0, 1) or not mask[abs(m)]:
-            continue
-        checked += 1
-        try:
-            expected = is_2rational_multiquadratic(make_field([m])).positive
-            if verify_2rational_quadratic(m) != expected:
-                failed += 1
-        except EffortBoundExceeded:
-            effort += 1
-    suites.append(
-        {
-            "name": "quadratic-rational-vs-form-oracle",
-            "checked": checked,
-            "failed": failed,
-            "effort_errors": effort,
-        }
-    )
-
-    checked = failed = effort = 0
-    limit = min(bound, RAYCLASS_PAIR_BOUND)
-    primitive = [r for r in primes_up_to(limit) if r % 8 in (3, 5)]
-    for p in primitive:
-        for q in primitive:
-            if p == q:
-                continue
-            checked += 1
-            try:
-                report = ray_quotient_report(p, q, k_max=10)
-                if _reflection_ranks(report) != (1, 0):
-                    failed += 1
-                if report.stabilized_order.bit_count() != 1:
-                    failed += 1
-            except TheoremViolation:
-                failed += 1
-            except EffortBoundExceeded:
-                effort += 1
-    suites.append(
-        {
-            "name": "ray-class-laws",
-            "checked": checked,
-            "failed": failed,
-            "effort_errors": effort,
-        }
-    )
-
+    primitive = [r for r in primes_up_to(min(bound, RAYCLASS_PAIR_BOUND)) if r % 8 in (3, 5)]
+    suites = [
+        _suite(
+            "quadratic-birational-vs-form-oracle",
+            (d for d in range(1, bound + 1) if mask[d] and is_2birational_quadratic(d).positive),
+            lambda d: verify_2birational_quadratic_oracle(d) == (True, True),
+        ),
+        _suite(
+            "quadratic-rational-vs-form-oracle",
+            (m for m in range(-bound, bound + 1) if m not in (0, 1) and mask[abs(m)]),
+            # the classifier verdict first, then the oracle
+            lambda m: (
+                is_2rational_multiquadratic(make_field([m])).positive
+                == verify_2rational_quadratic(m)
+            ),
+        ),
+        _suite(
+            "ray-class-laws",
+            ((p, q) for p in primitive for q in primitive if p != q),
+            _ray_laws_hold,
+        ),
+    ]
     ok = all(s["failed"] == 0 and s["effort_errors"] == 0 for s in suites)
     _emit(
         _json_payload({"command": "verify", "bound": bound, "ok": ok, "suites": suites}),

@@ -3,7 +3,8 @@
 A multiquadratic field is encoded by the subgroup of Q*/Q*^2 generated by
 its square root labels, i.e. an F2-subspace of squarefree integers.  The
 canonical basis is the reduced row echelon form over F2 with coordinates
-ordered sign first, then 2, then odd primes ascending; that ordering makes
+ordered sign first, then 2, then odd primes ascending (integer order of the
+atoms -1, 2, 3, 5, ...); that ordering makes
 the classification case splits (presence of 2, of a single odd prime p,
 of a negative label) syntactically visible.  At most one basis element is
 negative, and the positive basis elements span exactly the real subfield.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .arith import SquarefreeInt, squarefree_decompose
@@ -25,15 +25,6 @@ from .arith import SquarefreeInt, squarefree_decompose
 class FieldSignature(enum.Enum):
     TOTALLY_REAL = "totally-real"
     IMAGINARY = "imaginary"
-
-
-def _atom_key(a: int) -> int:
-    # coordinate ordering: sign (-1) first, then 2, then odd primes ascending
-    if a == -1:
-        return 0
-    if a == 2:
-        return 1
-    return a
 
 
 def _to_atoms(s: SquarefreeInt) -> frozenset[int]:
@@ -63,14 +54,14 @@ def _rref(vectors: Iterable[frozenset[int]]) -> list[frozenset[int]]:
     for vec in vectors:
         row = vec
         while row:
-            lead = min(row, key=_atom_key)
+            lead = min(row)
             if lead in pivots:
                 row = row ^ pivots[lead]
             else:
                 pivots[lead] = row
                 break
     # eliminate each pivot's leading atom from the other rows
-    for lead in sorted(pivots, key=_atom_key):
+    for lead in sorted(pivots):
         row = pivots[lead]
         for other in pivots:
             if other != lead and lead in pivots[other]:
@@ -137,15 +128,11 @@ def quadratic_subfields(field: MultiquadField) -> list[SquarefreeInt]:
     """The 2^dim - 1 nontrivial squarefree labels of the subgroup, sorted."""
     if field.dim < 1:
         raise ValueError("field must have dim >= 1")
-    atoms = [_to_atoms(b) for b in field.basis]
-    labels = []
-    for r in range(1, len(atoms) + 1):
-        for combo in combinations(atoms, r):
-            acc: frozenset[int] = frozenset()
-            for vec in combo:
-                acc = acc ^ vec
-            labels.append(_atoms_to_squarefree(acc))
-    return sorted(labels, key=_label_sort_key)
+    spans: list[frozenset[int]] = [frozenset()]
+    for b in field.basis:
+        v = _to_atoms(b)
+        spans += [s ^ v for s in spans]
+    return sorted(map(_atoms_to_squarefree, spans[1:]), key=_label_sort_key)
 
 
 def imaginary_labels(field: MultiquadField) -> list[int]:
@@ -157,4 +144,7 @@ def imaginary_labels(field: MultiquadField) -> list[int]:
 
 def real_part(field: MultiquadField) -> MultiquadField:
     """The maximal totally real subfield."""
-    return field_from_labels(field.real_subfield_basis)
+    # the positive rows of a reduced, sorted basis are themselves reduced and
+    # sorted: the one negative row holds the pivot -1, which no other row has
+    real = field.real_subfield_basis
+    return MultiquadField(real, len(real), FieldSignature.TOTALLY_REAL, real)

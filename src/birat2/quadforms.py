@@ -21,12 +21,12 @@ Def. 5.4.6).  A ``QuadForm`` is a named (a, b, c) tuple.  The arithmetic is
 done by integer kernels (``_compose``, ``_reduce_definite``,
 ``_reduce_indefinite``, and ``_square``, composition with a1 = a2 and one
 extended gcd) on the coefficients and a discriminant the caller passes in;
-``compose``, ``reduce_definite``, ``reduce_indefinite``,
-``reduction_cycle`` and ``canonical_rep`` wrap them for forms.  A class
-group is built once per discriminant together with an index from every
-reduced (a, b, c) (for D > 0, every member of every cycle) to its class
-representative, so a product inside a group is "compose, reduce, look up"
-on integers, with no cycle walk and no form object built per product.
+``compose``, ``reduction_cycle`` and ``canonical_rep`` wrap them for
+forms.  A class group is built once per discriminant together with an
+index from every reduced (a, b, c) (for D > 0, every member of every
+cycle) to its class representative, so a product inside a group is
+"compose, reduce, look up" on integers, with no cycle walk and no form
+object built per product.
 
 Every verdict reads only 2-parts, so a group is built with its 2-part
 only: the squaring map x -> x^2 is tabulated once, and its torsion counts
@@ -191,15 +191,6 @@ def _square(a: int, b: int, D: int) -> tuple[int, int, int]:
     A = a * a // (e * e)
     B = (z * a * b + w * ((b * b + D) // 2)) // e % (2 * abs(A))
     return A, B, (B * B - D) // (4 * A)
-
-
-def reduce_definite(f: QuadForm) -> QuadForm:
-    """The unique reduced representative of a positive definite class."""
-    return QuadForm(*_reduce_definite(*f, f.discriminant))
-
-
-def reduce_indefinite(f: QuadForm) -> QuadForm:
-    return QuadForm(*_reduce_indefinite(*f, f.discriminant))
 
 
 def _reduction_cycle(a: int, b: int, c: int, D: int) -> list[tuple[int, int, int]]:

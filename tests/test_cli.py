@@ -4,7 +4,7 @@ import subprocess
 import sys
 import time
 
-from birat2 import AbelianGroupStructure, cli, rayclass
+from birat2 import AbelianGroupStructure, EffortBoundExceeded, TheoremViolation, cli, rayclass
 from birat2.cli import main
 
 
@@ -162,6 +162,66 @@ def test_verify_rechecks_level_8_stabilization(capsys, monkeypatch):
     assert code == 1
     suite = ray_suite(out)
     assert suite["failed"] == suite["checked"] == 20
+
+
+def suites_by_name(out):
+    return {s["name"]: s for s in json.loads(out)["suites"]}
+
+
+def test_verify_counts_theorem_violation_in_form_suite(capsys, monkeypatch):
+    # a TheoremViolation fails the case and the payload is still written
+    def violated(m):
+        raise TheoremViolation(f"forged for m={m}")
+
+    monkeypatch.setattr(cli, "verify_2rational_quadratic", violated)
+    code, out, _ = run_cli(capsys, "verify", "--bound", "20")
+    assert code == 1
+    suite = suites_by_name(out)["quadratic-rational-vs-form-oracle"]
+    assert suite["failed"] == suite["checked"] > 0
+
+
+def test_verify_counts_a_pair_failing_both_ray_laws_once(capsys, monkeypatch):
+    real = rayclass.ray_quotient_report
+    monkeypatch.setattr(
+        cli,
+        "ray_quotient_report",
+        lambda p, q, k_max=8: dataclasses.replace(real(p, q, k_max), stabilized_order=6),
+    )
+    monkeypatch.setattr(cli, "_reflection_ranks", lambda report: (2, 0))
+    code, out, _ = run_cli(capsys, "verify", "--bound", "20")
+    assert code == 1
+    suite = suites_by_name(out)["ray-class-laws"]
+    assert suite["failed"] == suite["checked"] == 20
+
+
+def test_verify_effort_errors_land_in_their_suite(capsys, monkeypatch):
+    # suite i raises EffortBoundExceeded on its first i cases and a
+    # TheoremViolation on every later one
+    def forged(efforts):
+        calls = []
+
+        def check(*args, **kwargs):
+            calls.append(args)
+            if len(calls) <= efforts:
+                raise EffortBoundExceeded("forged")
+            raise TheoremViolation("forged")
+
+        return check
+
+    monkeypatch.setattr(cli, "verify_2birational_quadratic_oracle", forged(1))
+    monkeypatch.setattr(cli, "verify_2rational_quadratic", forged(2))
+    monkeypatch.setattr(cli, "ray_quotient_report", forged(3))
+    code, out, _ = run_cli(capsys, "verify", "--bound", "20")
+    assert code == 1
+    suites = suites_by_name(out)
+    for efforts, name in enumerate(
+        ["quadratic-birational-vs-form-oracle", "quadratic-rational-vs-form-oracle",
+         "ray-class-laws"],
+        start=1,
+    ):
+        suite = suites[name]
+        assert suite["effort_errors"] == efforts
+        assert suite["failed"] == suite["checked"] - efforts > 0
 
 
 def test_verify_huge_bound_rejected(capsys):

@@ -10,6 +10,12 @@ import pytest
 from birat2.cli import main
 
 GOLDEN = {
+    ("enumerate", "--kind", "quad-birational", "--bound", "20000"): (
+        "71e3439db8bee9844a2ae3ca03fd9e96d0f38e519219560b3579f754341f1ead"
+    ),
+    ("enumerate", "--kind", "multiquad-rational", "--bound", "3000", "--format", "csv"): (
+        "ec1f1fbadfd7a8c318be1a7634048d4de42ed0d0b5b4a28e4321750a6b73d813"
+    ),
     ("verify", "--bound", "800"): (
         "7b50421785a79d1c5797ff3b397b0025d8254044c15321fbb32fc46549b290bc"
     ),

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,8 @@ from birat2 import (
     quadratic_subfields,
     real_part,
 )
+from birat2.arith import squarefree_decompose
+from birat2.fields import field_from_labels
 
 
 def test_make_field_examples():
@@ -81,6 +85,7 @@ def test_real_subfield_index_two():
             v.value for v in f.real_subfield_basis
         )
         # real subfield spans exactly the positive labels
+        check_against_references(f)
         rp = real_part(f)
         assert rp.dim == f.dim - 1
         if rp.dim:
@@ -132,3 +137,28 @@ def test_adjoin_idempotent_property(gens):
 def test_imaginary_labels_helper():
     assert imaginary_labels(make_field([6, -15])) == [-10, -15]
     assert imaginary_labels(make_field([3])) == []
+
+
+def reference_subfields(field):
+    """Every product of a nonempty subset of basis labels, reduced mod squares."""
+    values = []
+    for r in range(1, field.dim + 1):
+        for combo in combinations(field.labels, r):
+            product = 1
+            for v in combo:
+                product *= v
+            values.append(squarefree_decompose(product)[0].value)
+    return sorted(values, key=lambda v: (v < 0, abs(v)))
+
+
+def check_against_references(field):
+    assert real_part(field) == field_from_labels(field.real_subfield_basis)
+    if field.dim:
+        assert [s.value for s in quadratic_subfields(field)] == reference_subfields(field)
+
+
+@settings(max_examples=200)
+@given(st.lists(small_ints, min_size=1, max_size=4))
+def test_fast_paths_match_references_property(gens):
+    check_against_references(make_field(gens))
+    check_against_references(adjoin_sqrt2(make_field(gens)))
