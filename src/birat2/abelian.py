@@ -1,6 +1,6 @@
-"""Finite abelian groups in invariant-factor normal form d1 | d2 | ..., built
-from cyclic orders (a Smith diagonal, in ``rayclass``) or from per-prime
-torsion counts (power-map tables, in ``quadforms``)."""
+"""Finite abelian groups in invariant-factor normal form d1 | d2 | ..., read off
+determinantal divisors (in ``rayclass``) or built from per-prime torsion
+counts (power-map tables, in ``quadforms``)."""
 
 from __future__ import annotations
 
@@ -28,27 +28,17 @@ class AbelianGroupStructure:
             prev = d
 
     @classmethod
-    def from_cyclic_orders(cls, orders: list[int]) -> AbelianGroupStructure:
-        """The product of cyclic groups of the given orders (each >= 1)."""
-        diag = list(orders)
-        # gcd/lcm exchanges between neighbours sort every prime's valuations
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(diag) - 1):
-                a, b = diag[i], diag[i + 1]
-                if b % a:
-                    g = math.gcd(a, b)
-                    diag[i], diag[i + 1] = g, a * b // g
-                    changed = True
-        return cls(tuple(d for d in diag if d > 1))
-
-    @classmethod
     def from_torsion_counts(cls, counts: dict[int, list[int]]) -> AbelianGroupStructure:
-        """The group whose p-part has counts[p][k] elements of order dividing p^k."""
-        return cls.from_cyclic_orders(
-            [p**e for p, c in counts.items() for e in _p_partition_from_counts(c, p)]
-        )
+        """The group whose p-part has counts[p][k] elements of order dividing p^k;
+        its j-th largest factor is the product of the j-th largest p-parts."""
+        factors: list[int] = []
+        for p, c in counts.items():
+            for j, e in enumerate(_p_partition_from_counts(c, p)):
+                if j < len(factors):
+                    factors[j] *= p**e
+                else:
+                    factors.append(p**e)
+        return cls(tuple(reversed(factors)))
 
     @property
     def order(self) -> int:
@@ -61,15 +51,6 @@ class AbelianGroupStructure:
     @property
     def is_cyclic(self) -> bool:
         return len(self.invariant_factors) <= 1
-
-    @property
-    def two_rank(self) -> int:
-        return sum(1 for d in self.invariant_factors if d % 2 == 0)
-
-    @property
-    def two_part(self) -> AbelianGroupStructure:
-        """The 2-Sylow subgroup: the 2-part d & -d of every even factor."""
-        return AbelianGroupStructure(tuple(d & -d for d in self.invariant_factors if d % 2 == 0))
 
 
 def _p_partition_from_counts(counts: list[int], p: int) -> list[int]:

@@ -43,7 +43,7 @@ SCHEMA = 1
 
 ENUMERATE_MAX_BOUND = 10_000_000
 VERIFY_MAX_BOUND = 10_000
-RAYCLASS_MAX_LEVELS = 24  # caps the levels in the report, one Smith reduction each
+RAYCLASS_MAX_LEVELS = 24  # caps the levels in the report, one 3x2 invariant-factor step each
 RAYCLASS_PAIR_BOUND = 200
 
 

@@ -411,12 +411,13 @@ def _torsion_counts(elements, step, kernel, e) -> list[int]:
 @lru_cache(maxsize=256)
 def narrow_class_group(D: int) -> ClassGroup:
     """Narrow class group of the fundamental discriminant D, fully enumerated."""
-    _require_fundamental(D)
+    # the bound first: checking D is fundamental factorizes it
     if D < -MAX_NEGATIVE_DISC or D > MAX_POSITIVE_DISC:
         raise ValueError(
             f"|D|={abs(D)} exceeds the enumeration bound "
             f"({MAX_NEGATIVE_DISC} for D<0, {MAX_POSITIVE_DISC} for D>0)"
         )
+    _require_fundamental(D)
     # index: every reduced (a, b, c) -> the representative of its class
     if D < 0:
         elements = tuple(_enumerate_definite(D))

@@ -3,11 +3,12 @@
 The maximal abelian 2-extension of Q that is totally real, tamely ramified
 only at a primitive prime p and split at a second primitive prime q has
 Galois group isomorphic to the 2-part of (Z/2^k p)* / <-1, q> once k is
-large enough.  This module computes those quotients by exponent-lattice
-reduction (Smith normal form), checks the stabilized structure (cyclic of
-order 2^v2(p-1)), finds the real quadratic field realizing the quadratic
-subextension, and verifies the reflection identities that make the whole
-construction tick.  The invariant-factor normal form comes from ``abelian``.
+large enough.  This module computes the invariant factors of those
+quotients from their relation lattices, checks the stabilized structure
+(cyclic of order 2^v2(p-1)), finds the real quadratic field realizing the
+quadratic subextension, and verifies the reflection identities that make the
+whole construction tick.  The invariant-factor normal form comes from
+``abelian``.
 
 Only 2-parts are computed.  For a finite abelian group G with subgroup H,
 the 2-part of G/H is the 2-Sylow G_2 modulo the projection of H, so the
@@ -15,14 +16,17 @@ unit group is presented by generators of its 2-Sylow: -1, 5 and an element
 of order 2^v2(p-1) mod p^a.  Discrete logarithms are Pohlig-Hellman at the
 single prime 2 (Pohlig and Hellman, IEEE Trans. IT 24, 1978): a unit is
 projected onto the 2-Sylow by one power, and its exponents are read bit by
-bit.  The Smith reduction (Cohen, GTM 138, 2.4) then runs on the orders
-(2, 2^(k-2), 2^v).  A report takes one presentation at its top level and
-reduces the exponents to each lower level, so its work is polynomial in
-log p and k, with no factorization of p - 1 and no table.
+bit.  The known dlog of -1 removes the generator -1; the rest, presented by
+the orders 2^(k-2), 2^v and the relation of q, has invariant factors that
+are quotients of determinantal divisors (Cohen, GTM 138, 2.4).  A report takes
+one presentation at its top level and reduces the exponents to each lower
+level, so its work is polynomial in log p and k, with no factorization of
+p - 1 and no table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -167,53 +171,32 @@ def _units_mod(k: int, p: int, a: int) -> UnitGroupMod:
 def smith_invariant_factors(rows: list[list[int]], ngens: int) -> tuple[int, ...]:
     """Invariant factors (> 1) of Z^ngens modulo the row lattice.
 
-    The relation rows must make the quotient finite.
+    The determinantal divisor D_i is the gcd of the i x i minors of the
+    relation matrix, and the i-th invariant factor is D_i / D_(i-1) (Cohen,
+    GTM 138, 2.4).  The relation rows must make the quotient finite.
     """
     m = [list(r) + [0] * (ngens - len(r)) for r in rows]
-    n = ngens
-    diag: list[int] = []
-    t = 0
-    guard = 0
-    while t < n:
-        guard += 1
-        if guard > 10_000:
-            raise TheoremViolation(f"Smith reduction of {rows} on {ngens} gens did not converge")
-        pivot = None
-        for i in range(t, len(m)):
-            for j in range(t, n):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            diag.extend([0] * (n - t))
-            break
-        i0, j0 = pivot
-        m[t], m[i0] = m[i0], m[t]
-        if j0 != t:
-            for row in m:
-                row[t], row[j0] = row[j0], row[t]
-        dirty = False
-        piv = m[t][t]
-        for i in range(len(m)):
-            if i != t and m[i][t]:
-                q = m[i][t] // piv
-                for j in range(t, n):
-                    m[i][j] -= q * m[t][j]
-                if m[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if m[t][j]:
-                q = m[t][j] // piv
-                for i in range(len(m)):
-                    m[i][j] -= q * m[i][t]
-                if m[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        diag.append(abs(piv))
-        t += 1
-    if any(d == 0 for d in diag):
-        raise ValueError("quotient is infinite: relation lattice not of full rank")
-    return AbelianGroupStructure.from_cyclic_orders(diag).invariant_factors
+    factors: list[int] = []
+    prev = 1
+    for i in range(1, ngens + 1):
+        d = 0
+        for sub in itertools.combinations(m, i):
+            for cols in itertools.combinations(range(ngens), i):
+                d = math.gcd(d, _det([[r[j] for j in cols] for r in sub]))
+        if d == 0:
+            raise ValueError("quotient is infinite: relation lattice not of full rank")
+        if d > prev:
+            factors.append(d // prev)
+        prev = d
+    return tuple(factors)
+
+
+def _det(a: list[list[int]]) -> int:
+    # Laplace expansion along the first row
+    if len(a) == 1:
+        return a[0][0]
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1 :] for r in a[1:]])
+               for j, x in enumerate(a[0]) if x)
 
 
 @dataclass(frozen=True)
@@ -250,18 +233,24 @@ def ray_quotient_report(p: int, q: int, k_max: int = 8) -> RayClassReport:
         raise ValueError(f"k_max must be >= 5, got {k_max}")
 
     # The 2-part of G/H is G_2 modulo the 2-Sylow projection of H.  The
-    # generators -1, 5, g of the 2-Sylow of (Z/2^k_max p)* reduce mod 2^k p to
-    # those units_mod builds at level k, so one pair of dlogs serves every
-    # level: reduce each exponent mod that level's orders 2, 2^(k-2), 2^v.
+    # generators e1, e2, e3 = -1, 5, g of the 2-Sylow of (Z/2^k_max p)* reduce
+    # to those of level k, of orders 2, 2^(k-2), 2^v, so one dlog (s, b, e) of
+    # q serves every level.  -1 is e1 mod 2^k and g^(2^(v-1)) mod p, so its dlog
+    # is (1, 0, 2^(v-1)): e1 = -2^(v-1) e3 drops the Z/2 factor, and each level is
+    # Z^2 modulo 2^(k-2) e2, 2^v e3 and b e2 + (e + s 2^(v-1)) e3 (the sign of
+    # s 2^(v-1) is immaterial mod 2^v).
     units = _units_mod(k_max, p, 1)
-    relations = (units.dlog(-1), units.dlog(q))
     order_p = units.generators[-1][1]  # 2^v2(p-1)
+    half = order_p // 2
+    minus_one = units.dlog(-1)
+    if minus_one != (1, 0, half):
+        raise TheoremViolation(f"dlog(-1) mod {units.modulus} is {minus_one}, not (1, 0, {half})")
+    s, b, e = units.dlog(q)
     per_level = []
     for k in range(3, k_max + 1):
-        orders = (2, 1 << (k - 2), order_p)
-        rows = [[n if j == i else 0 for j in range(3)] for i, n in enumerate(orders)]
-        rows += [[e % n for e, n in zip(r, orders)] for r in relations]
-        per_level.append((k, AbelianGroupStructure(smith_invariant_factors(rows, 3))))
+        order_5 = 1 << (k - 2)
+        rows = [[order_5, 0], [0, order_p], [b % order_5, (e + s * half) % order_p]]
+        per_level.append((k, AbelianGroupStructure(smith_invariant_factors(rows, 2))))
 
     final = _check_stabilized(p, q, per_level)
     kprime = _find_propagation_field(p, q)

@@ -205,6 +205,8 @@ def place_primitivity_in_quadratic(
     splitting is returned for it.
     """
     q = check_odd_prime(q)
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     m = int(m)
     _, f = squarefree_decompose(m)
     if f != 1:

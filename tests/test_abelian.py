@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import pytest
 
 from birat2 import AbelianGroupStructure, TheoremViolation, narrow_class_group, quadforms
 from birat2.quadforms import restricted_2class_quotient
+from birat2.rayclass import smith_invariant_factors
 
 PRIMES_TO_24 = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -23,19 +25,26 @@ def elementary_divisors(orders):
     }
 
 
-def test_from_cyclic_orders_exhaustive_to_three_factors():
+def torsion_counts(orders, p):
+    """Elements of order dividing p^k in the product of cyclic groups of the
+    given orders, for k up to the largest exponent of p."""
+    top = max((valuation(o, p) for o in orders), default=0)
+    return [math.prod(math.gcd(o, p**k) for o in orders) for k in range(top + 1)]
+
+
+def test_invariant_factors_exhaustive_to_three_factors():
+    # the determinantal divisors of a diagonal presentation and the torsion
+    # counts of the same cyclic product give one chain, prime by prime
     for n in range(4):
         for orders in itertools.product(range(1, 25), repeat=n):
-            factors = AbelianGroupStructure.from_cyclic_orders(list(orders)).invariant_factors
+            rows = [[o if j == i else 0 for j in range(n)] for i, o in enumerate(orders)]
+            factors = smith_invariant_factors(rows, n)
             assert all(d >= 2 for d in factors), orders
             assert all(b % a == 0 for a, b in zip(factors, factors[1:])), orders
             assert elementary_divisors(factors) == elementary_divisors(orders), orders
-
-
-def test_from_cyclic_orders_leaves_its_argument_alone():
-    orders = [4, 6]
-    assert AbelianGroupStructure.from_cyclic_orders(orders).invariant_factors == (2, 12)
-    assert orders == [4, 6]
+            counts = {p: torsion_counts(orders, p) for p in PRIMES_TO_24}
+            structure = AbelianGroupStructure.from_torsion_counts(counts)
+            assert structure.invariant_factors == factors, orders
 
 
 def test_from_torsion_counts():
@@ -50,16 +59,6 @@ def test_from_torsion_counts():
     assert AbelianGroupStructure.from_torsion_counts({2: [1, 2, 2, 2]}).invariant_factors == (2,)
     with pytest.raises(TheoremViolation):
         AbelianGroupStructure.from_torsion_counts({2: [1, 3]})
-
-
-def test_two_part():
-    assert AbelianGroupStructure((2, 12, 24)).two_part == AbelianGroupStructure((2, 4, 8))
-    assert AbelianGroupStructure((3, 15)).two_part.is_trivial
-    assert AbelianGroupStructure((3, 6)).two_part.invariant_factors == (2,)
-    assert AbelianGroupStructure(()).two_part.is_trivial
-    for n in range(2, 400, 2):
-        (two,) = AbelianGroupStructure((n,)).two_part.invariant_factors
-        assert two & (two - 1) == 0 and n % two == 0 and (n // two) % 2 == 1, n
 
 
 def test_quotient_order_self_check_raises(monkeypatch):

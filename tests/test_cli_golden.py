@@ -25,6 +25,9 @@ GOLDEN = {
     ("rayclass", "--p", "5", "--q", "3", "--levels", "12"): (
         "aa92c7e78a9d5f3c2ff4b41ba29aac10e78df3079a1278a64d8f3fc264ad2fb5"
     ),
+    ("rayclass", "--p", "1000000000001669", "--q", "3", "--levels", "24"): (
+        "74f16d43f1eec10ce586b1aa535b8f5617a5627e5685d19aa758c6140f78ab79"
+    ),
     ("rayclass", "--p", "3", "--q", "5", "--levels", "12", "--table"): (
         "48e81783954529aeae223aa012dc9eaad872508050862554f1a083895f048410"
     ),

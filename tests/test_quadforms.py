@@ -74,6 +74,16 @@ def test_rejects_non_fundamental():
         narrow_class_group(45)  # not squarefree
 
 
+def test_bound_checked_before_factoring():
+    # D = m = 1 (mod 4) with two prime factors above the trial-division limit:
+    # deciding whether D is fundamental would exhaust the factoring effort
+    m = 1000033 * 1000037
+    with pytest.raises(ValueError, match="exceeds the enumeration bound"):
+        narrow_class_group(m)
+    with pytest.raises(ValueError, match="exceeds the enumeration bound"):
+        verify_2rational_quadratic(m)
+
+
 def test_imaginary_class_numbers_against_analytic_formula():
     for D in fundamental_discs(-1500, -3):
         g = narrow_class_group(D)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import subprocess
 import sys
 
@@ -17,13 +18,14 @@ from birat2 import (
     reflection_ranks,
     units_mod,
 )
+from birat2 import rayclass
 from birat2.arith import factorize, v2
 from birat2.rayclass import _reflection_ranks, _v2_order, smith_invariant_factors
 
 
 def test_abelian_structure_validation():
     s = AbelianGroupStructure((2, 4))
-    assert s.order == 8 and s.two_rank == 2 and not s.is_cyclic
+    assert s.order == 8 and not s.is_cyclic
     assert AbelianGroupStructure(()).is_trivial
     assert AbelianGroupStructure((4,)).is_cyclic
     with pytest.raises(ValueError):
@@ -178,7 +180,7 @@ def test_dlog_matches_sympy_discrete_log(p):
 def test_smith_invariant_factors_known_cases():
     # diagonal relations
     assert smith_invariant_factors([[2, 0], [0, 8]], 2) == (2, 8)
-    # gcd/lcm fix-up: Z/2 x Z/3 = Z/6
+    # Z/2 x Z/3 = Z/6: D_1 = 1, D_2 = 6
     assert smith_invariant_factors([[2, 0], [0, 3]], 2) == (6,)
     # quotient of Z^3 by <e1 + e3, e2 + e3, 2e1, 8e2, 2e3> is Z/2
     rows = [[1, 0, 1], [0, 1, 1], [2, 0, 0], [0, 8, 0], [0, 0, 2]]
@@ -186,6 +188,30 @@ def test_smith_invariant_factors_known_cases():
     # infinite quotient rejected
     with pytest.raises(ValueError):
         smith_invariant_factors([[2, 0]], 2)
+    with pytest.raises(ValueError, match="quotient is infinite"):
+        smith_invariant_factors([[2, 4], [1, 2], [3, 6]], 2)
+
+
+def test_smith_invariant_factors_match_sympy():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20111)
+    deficient = 0
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 3)
+        # small ranges make rank-deficient matrices common
+        span = rng.choice((1, 2, 12))
+        rows = [[rng.randint(-span, span) for _ in range(ncols)] for _ in range(nrows)]
+        snf = normalforms.invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        expected = [abs(d) for d in snf]
+        if len(expected) < ncols or 0 in expected:
+            deficient += 1
+            with pytest.raises(ValueError, match="quotient is infinite"):
+                smith_invariant_factors(rows, ncols)
+        else:
+            factors = tuple(d for d in expected if d > 1)
+            assert smith_invariant_factors(rows, ncols) == factors, rows
+    assert 0 < deficient < 300
 
 
 def brute_two_part_of_quotient(p, q, k):
@@ -234,7 +260,8 @@ def test_ray_quotient_matches_brute_force():
 
 def level_by_level_per_level(p, q, k_max):
     """per_level built from a fresh units_mod(2^k p) and fresh dlogs at each
-    level k, as ray_quotient_report did before one presentation served all."""
+    level k, on the full presentation with the relation of -1 that
+    ray_quotient_report eliminates."""
     per_level = []
     for k in range(3, k_max + 1):
         M = (1 << k) * p
@@ -243,8 +270,7 @@ def level_by_level_per_level(p, q, k_max):
         rows = [[n if j == i else 0 for j in range(len(orders))] for i, n in enumerate(orders)]
         rows.append(list(units.dlog(M - 1)))
         rows.append(list(units.dlog(q % M)))
-        factors = smith_invariant_factors(rows, len(orders))
-        per_level.append((k, AbelianGroupStructure(factors).two_part))
+        per_level.append((k, AbelianGroupStructure(smith_invariant_factors(rows, len(orders)))))
     return tuple(per_level)
 
 
@@ -274,6 +300,32 @@ def test_top_level_dlog_reduces_to_every_level():
             for x, exps in top_exps.items():
                 reduced = tuple(e % n for e, n in zip(exps, orders) if n > 1)
                 assert reduced == level.dlog(x), (p, k, x)
+
+
+def test_ray_quotient_report_calls_traced_smith_once_per_level(monkeypatch):
+    # through the module global, which the per-layer tracer rebinds
+    calls = []
+    smith = rayclass.smith_invariant_factors
+    monkeypatch.setattr(
+        rayclass, "smith_invariant_factors", lambda *args: calls.append(args) or smith(*args)
+    )
+    for k_max in (5, 8, 13):
+        calls.clear()
+        ray_quotient_report(5, 3, k_max)
+        assert len(calls) == k_max - 2, k_max
+
+
+def test_ray_quotient_report_checks_dlog_of_minus_one(monkeypatch):
+    dlog = rayclass.UnitGroupMod.dlog
+
+    def forged(self, x):
+        exps = dlog(self, x)
+        return (exps[0], 1, exps[2]) if x == -1 else exps
+
+    monkeypatch.setattr(rayclass.UnitGroupMod, "dlog", forged)
+    message = r"dlog\(-1\) mod 1280 is \(1, 1, 2\), not \(1, 0, 2\)"
+    with pytest.raises(TheoremViolation, match=message):
+        ray_quotient_report(5, 3, 8)
 
 
 def test_ray_quotient_examples():

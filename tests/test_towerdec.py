@@ -113,6 +113,15 @@ def test_place_primitivity_ramified_and_errors():
         place_primitivity_in_quadratic(12, 5)  # not squarefree
 
 
+def test_place_primitivity_rejects_depth_below_one():
+    # as decomposition_profile does: no depth means no profile cross-check
+    for m in (10, 15):  # split at 3, and ramified
+        for depth in (0, -5):
+            with pytest.raises(ValueError, match="depth must be >= 1, got"):
+                place_primitivity_in_quadratic(m, 3, depth)
+    assert place_primitivity_in_quadratic(10, 3, 1) == (SPLIT, PrimitivityClass.primitive())
+
+
 def test_place_primitivity_mismatch_raises_theorem_violation(monkeypatch):
     # a profile that contradicts the congruence shortcut is a raised self-check
     monkeypatch.setattr(towerdec, "_order_mod_2power_up_to_sign", lambda q, n: 1)
