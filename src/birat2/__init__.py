@@ -35,7 +35,6 @@ from .fields import (
 from .quadforms import (
     ClassGroup,
     QuadForm,
-    genus_2rank,
     is_fundamental_discriminant,
     narrow_class_group,
     restricted_2class_quotient,
@@ -56,16 +55,11 @@ from .tower import (
     StepCertificate,
     TowerPlan,
     plan_and_realize,
-    plan_tower,
-    realize_step1,
 )
 from .towerdec import (
-    PrimePlace,
     PrimitivityClass,
     TowerProfile,
     decomposition_profile,
-    place_primitivity_in_quadratic,
-    prime_place,
     primitivity_over_Q,
 )
 
@@ -79,7 +73,6 @@ __all__ = [
     "FieldSignature",
     "MultiquadField",
     "OddPrime",
-    "PrimePlace",
     "PrimitivityClass",
     "QuadForm",
     "RayClassReport",
@@ -97,7 +90,6 @@ __all__ = [
     "factorize",
     "field_discriminant",
     "find_propagation_field",
-    "genus_2rank",
     "imaginary_labels",
     "is_2birational_multiquadratic",
     "is_2birational_quadratic",
@@ -109,16 +101,12 @@ __all__ = [
     "make_field",
     "mirror_group_trivial",
     "narrow_class_group",
-    "place_primitivity_in_quadratic",
     "plan_and_realize",
-    "plan_tower",
-    "prime_place",
     "primes_up_to",
     "primitivity_over_Q",
     "quadratic_subfields",
     "ray_quotient_report",
     "real_part",
-    "realize_step1",
     "reflection_ranks",
     "restricted_2class_quotient",
     "squarefree_decompose",

@@ -182,14 +182,6 @@ class SquarefreeInt:
         if list(self.primes) != sorted(set(self.primes)):
             raise ValueError(f"prime list {self.primes} is not ascending and distinct")
 
-    @classmethod
-    def from_int(cls, n: int) -> "SquarefreeInt":
-        """Validate that n is squarefree and attach its factorization."""
-        fac = factorize(n)
-        if any(e > 1 for _, e in fac):
-            raise ValueError(f"{n} is not squarefree")
-        return cls(n, tuple(p for p, _ in fac))
-
     @property
     def sign(self) -> int:
         return -1 if self.value < 0 else 1

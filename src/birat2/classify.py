@@ -3,6 +3,9 @@
 The decision procedures here are pure congruence and symbol checks on the
 canonical field presentation; the quadforms and rayclass modules provide
 the independent computational oracles that cross-verify them.
+``check_propagation`` is the paper's criterion for propagating
+2-birationality through a totally real quadratic K'/K in terms of tame
+ramification; ``tower`` checks every realized first step with it.
 
 Every verdict carries a case tag and the evidence actually checked, and
 serializes to the stable JSON shape
@@ -23,7 +26,7 @@ from .fields import (
     quadratic_subfields,
     real_part,
 )
-from .towerdec import PRIMITIVE, PrimePlace, PrimitivityClass
+from .towerdec import PRIMITIVE, PrimitivityClass
 
 # 2-rationality cases: the multiquadratic 2-rational fields are exactly the
 # subfields of Q(sqrt(-1), sqrt(2), sqrt(p)) for a prime p = +-3 (mod 8),
@@ -288,12 +291,6 @@ def is_2birational_multiquadratic(field: MultiquadField) -> Verdict:
     return Verdict(True, BIR_B_I if symbol == -1 else BIR_B_II, tuple(evidence))
 
 
-def _place_label(place: object) -> str:
-    if isinstance(place, PrimePlace):
-        return str(place.prime)
-    return str(place)
-
-
 def check_propagation(
     L_ram: Sequence[tuple[object, PrimitivityClass]],
     Kprime_degree: int,
@@ -309,8 +306,9 @@ def check_propagation(
     exactly two primitive tame places in L/K with the K'-ramified place
     among them, and the other place inert (branch b1) or split (branch b2).
 
-    Works on symbolic place descriptors so it applies over any totally
-    real 2-rational base, not only over Q.
+    Places are plain labels, compared by their ``str``, so the check applies
+    over any totally real 2-rational base, not only over Q.  ``tower``
+    evaluates it on every realized first step.
     """
     if not L_ram:
         raise ValueError("ramification list for L/K must not be empty")
@@ -325,7 +323,7 @@ def check_propagation(
     if Kprime_degree != 2:
         return _negative("QuadraticOnly", evidence)
 
-    labels = [_place_label(place) for place, _ in L_ram]
+    labels = [str(place) for place, _ in L_ram]
     classes = [cls for _, cls in L_ram]
     two_primitive = len(L_ram) == 2 and all(c.kind == PRIMITIVE for c in classes)
     evidence.append(
@@ -339,7 +337,7 @@ def check_propagation(
     if not two_primitive:
         return _negative("two_primitive_places_required", evidence)
 
-    tame = _place_label(Kprime_tame_ram)
+    tame = str(Kprime_tame_ram)
     among = tame in labels
     evidence.append(
         _ev(

@@ -37,12 +37,13 @@ from .quadforms import (
     verify_2rational_quadratic,
 )
 from .rayclass import _reflection_ranks, find_propagation_field, ray_quotient_report
-from .tower import plan_and_realize, plan_tower
+from .tower import plan_and_realize
 
 SCHEMA = 1
 
 ENUMERATE_MAX_BOUND = 10_000_000
-VERIFY_MAX_BOUND = 10_000
+# suite 2 builds Q(sqrt(m)) for |m| <= bound, whose discriminant reaches 4 * bound
+VERIFY_MAX_BOUND = MAX_POSITIVE_DISC // 4
 RAYCLASS_MAX_LEVELS = 24  # caps the levels in the report, one 3x2 invariant-factor step each
 RAYCLASS_PAIR_BOUND = 200
 
@@ -220,8 +221,10 @@ def cmd_rayclass(p: int, q: int, levels: int, table: bool, output: str | None) -
 
 
 def cmd_tower(p: int, q: int, choices: str, realize: bool, output: str | None) -> int:
-    plan = plan_and_realize(p, q, choices) if realize else plan_tower(p, q, choices)
-    _emit(_json_payload({"command": "tower", **plan.to_json()}), output)
+    plan = plan_and_realize(p, q, choices).to_json()
+    if not realize:
+        plan["realized_step1"] = None
+    _emit(_json_payload({"command": "tower", **plan}), output)
     return 0
 
 
@@ -289,11 +292,11 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--levels", type=int, default=8)
     r.add_argument("--table", action="store_true", help="emit a CSV row instead of JSON")
 
-    t = sub.add_parser("tower", help="plan (and optionally realize) a 2-birational tower")
+    t = sub.add_parser("tower", help="plan a 2-birational tower; step 1 is always realized and checked")
     t.add_argument("--p", required=True, type=int)
     t.add_argument("--q", required=True, type=int)
     t.add_argument("--choices", required=True)
-    t.add_argument("--realize", action="store_true")
+    t.add_argument("--realize", action="store_true", help="print the realized step 1")
 
     g = sub.add_parser("classgroups", help="dump narrow class group data for fundamental |D| <= bound")
     g.add_argument("--bound", required=True, type=int)

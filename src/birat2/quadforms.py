@@ -2,7 +2,7 @@
 
 This module is the computational oracle for the congruence classifiers and
 is deliberately independent of them: everything is derived from reduced
-forms, Gauss composition, continued fractions and genus theory.
+forms, Gauss composition and continued fractions.
 
 Conventions:
 
@@ -64,8 +64,7 @@ MAX_POSITIVE_DISC = 100_000
 class QuadForm(NamedTuple):
     """The binary quadratic form a x^2 + b xy + c y^2.
 
-    A plain (a, b, c) tuple: hashing and equality are the tuple's, and the
-    natural order is ``key()`` order.
+    A plain (a, b, c) tuple: hashing, equality and order are the tuple's.
     """
 
     a: int
@@ -75,19 +74,6 @@ class QuadForm(NamedTuple):
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    @property
-    def content(self) -> int:
-        return math.gcd(math.gcd(self.a, self.b), self.c)
-
-    def __call__(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
-    def inverse(self) -> "QuadForm":
-        return QuadForm(self.a, -self.b, self.c)
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -501,12 +487,3 @@ def verify_2birational_quadratic_oracle(d: int | SquarefreeInt) -> tuple[bool, b
     structure, _ = restricted_2class_quotient(field_discriminant(-d))
     return two_dyadic, structure.is_trivial
 
-
-def genus_2rank(D: int) -> int:
-    """2-rank of the narrow class group by genus theory: one less than the
-    number of prime discriminants dividing D."""
-    _require_fundamental(D)
-    t = len([p for p, _ in factorize(D) if p != 2])
-    if D % 2 == 0:
-        t += 1
-    return t - 1

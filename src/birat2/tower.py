@@ -1,25 +1,29 @@
 """Planning and certifying towers of quadratic extensions that preserve
 2-birationality.
 
-Starting from Q(sqrt(-pq)) with p, q primitive and p = -q = 3 (mod 8), each
-step picks one of the two tame places and ascends through the unique real
-quadratic extension ramified there and split at the other.  Step 1 is
-realized explicitly (the field is found and its compositum re-classified);
-deeper steps are certified symbolically: their obligations are recorded and
-justified by induction, since explicit class field theory over the larger
-bases is out of scope here.
+Starting from L = Q(sqrt(-pq)) with p, q primitive and p = -q = 3 (mod 8),
+each step picks one of the two tame places and ascends through the unique
+real quadratic extension ramified there and split at the other.
+``plan_and_realize`` is the one planner.  It realizes step 1: it finds
+K'_1 = Q(sqrt(k')), builds the compositum L'_1 and classifies it.  Step 1 is
+certified checked only once the propagation criterion
+(``classify.check_propagation``, evaluated on what was built) and the
+classifier on L'_1 are both positive and the other place splits in K'_1;
+anything else raises TheoremViolation.  Deeper steps are certified
+symbolically: their obligations are recorded and justified by induction,
+since explicit class field theory over the larger bases is out of scope here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import SquarefreeInt
-from .classify import Verdict, is_2birational_multiquadratic
+from .arith import SquarefreeInt, field_discriminant, kronecker
+from .classify import Verdict, check_propagation, is_2birational_multiquadratic
 from .errors import TheoremViolation
 from .fields import MultiquadField, field_from_labels
 from .rayclass import _find_propagation_field
-from .towerdec import check_primitive_pair
+from .towerdec import _primitivity, check_primitive_pair
 
 CHOICE_P = "P"
 CHOICE_Q = "Q"
@@ -40,6 +44,10 @@ OBLIGATION_NAMES = (
 class Obligation:
     name: str
     status: str  # "checked" or "symbolic"
+
+
+_CHECKED_STEP = tuple(Obligation(n, CHECKED) for n in OBLIGATION_NAMES)
+_SYMBOLIC_STEP = tuple(Obligation(n, SYMBOLIC) for n in OBLIGATION_NAMES)
 
 
 @dataclass(frozen=True)
@@ -106,63 +114,43 @@ def _base_label(p: int, q: int) -> SquarefreeInt:
     return SquarefreeInt(-p * q, (min(p, q), max(p, q)))
 
 
-def _certificates(choices: str) -> tuple[StepCertificate, ...]:
-    if any(c not in (CHOICE_P, CHOICE_Q) for c in choices):
-        raise ValueError(f"choices must be a word over P/Q, got {choices!r}")
-    steps = []
-    for i, choice in enumerate(choices, start=1):
-        status = CHECKED if i == 1 else SYMBOLIC
-        steps.append(
-            StepCertificate(
-                i, choice, tuple(Obligation(n, status) for n in OBLIGATION_NAMES)
-            )
-        )
-    return tuple(steps)
-
-
 def _realize(p: int, q: int, choice: str) -> RealizedStep:
-    kprime = _find_propagation_field(*((p, q) if choice == CHOICE_P else (q, p)))
+    # K'_1 is ramified at the chosen place t; the other place o must split
+    t, o = (p, q) if choice == CHOICE_P else (q, p)
+    kprime = _find_propagation_field(t, o)
     lprime = field_from_labels([_base_label(p, q), kprime])
     verdict = is_2birational_multiquadratic(lprime)
-    if not verdict.positive:
+    (tame,) = kprime.odd_primes
+    symbol = kronecker(field_discriminant(kprime.value), o)
+    criterion = check_propagation(
+        [(p, _primitivity(p)), (q, _primitivity(q))],
+        1 << (lprime.dim - 1),  # [K'_1 : Q] = [L'_1 : L], as K'_1 is real and L imaginary
+        tame,
+        "split" if symbol == 1 else "inert",
+    )
+    failed = [
+        f"{name} {v.case} ({'; '.join(e.condition for e in v.evidence if not e.ok)})"
+        for name, v in (("criterion", criterion), ("classifier on L'_1", verdict))
+        if not v.positive
+    ]
+    if symbol != 1:
+        failed.append(f"{o} is not split in Q(sqrt({kprime.value})) (symbol {symbol})")
+    if failed:
         raise TheoremViolation(
-            f"realized step for (p={p}, q={q}, choice={choice}) classified "
-            f"negative: {verdict.case}"
+            f"realized step 1 for (p={p}, q={q}, choice={choice}) fails: " + "; ".join(failed)
         )
     return RealizedStep(kprime, lprime, verdict)
 
 
-def plan_tower(p: int, q: int, choices: str) -> TowerPlan:
-    """A tower plan over the base Q(sqrt(-pq)), one certified step per choice.
-
-    Step 1 carries machine-checked obligations; deeper steps record the same
-    obligations as symbolic, each one guaranteed by induction once the
-    previous step is in place.
-    """
-    p, q = _check_admissible(p, q)
-    steps = _certificates(choices)
-    if choices:
-        # realizability check: the finder validates every obligation
-        _find_propagation_field(*((p, q) if choices[0] == CHOICE_P else (q, p)))
-    return TowerPlan(p, q, choices, steps)
-
-
-def realize_step1(p: int, q: int, choice: str) -> RealizedStep:
-    """Realize the first tower step explicitly.
-
-    Returns the real quadratic label, the compositum with Q(sqrt(-pq)),
-    and its (necessarily positive) classification; a negative verdict is a
-    theorem violation.
-    """
-    p, q = _check_admissible(p, q)
-    if choice not in (CHOICE_P, CHOICE_Q):
-        raise ValueError(f"choice must be P or Q, got {choice!r}")
-    return _realize(p, q, choice)
-
-
 def plan_and_realize(p: int, q: int, choices: str) -> TowerPlan:
-    """plan_tower plus the realized first step when the word is nonempty."""
+    """The tower plan over the base Q(sqrt(-pq)), one certified step per
+    choice, with step 1 realized and checked when the word is nonempty."""
     p, q = _check_admissible(p, q)
-    steps = _certificates(choices)
+    if any(c not in (CHOICE_P, CHOICE_Q) for c in choices):
+        raise ValueError(f"choices must be a word over P/Q, got {choices!r}")
     realized = _realize(p, q, choices[0]) if choices else None
+    steps = tuple(
+        StepCertificate(i, choice, _CHECKED_STEP if i == 1 else _SYMBOLIC_STEP)
+        for i, choice in enumerate(choices, start=1)
+    )
     return TowerPlan(p, q, choices, steps, realized)

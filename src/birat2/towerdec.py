@@ -15,6 +15,11 @@ primitivity classification captures:
 The whole profile is rigid: once the residue degree starts doubling it
 doubles at every deeper layer, so a finite profile plus the congruence
 determines the infinite behavior.
+
+The module computes that profile (``decomposition_profile``), the class of a
+place of Q (``primitivity_over_Q``; ``tower`` reads it for the tame places of
+its base) and ``check_primitive_pair``, the one validator of (p, q) pairs.
+Places over larger fields are not classified here.
 """
 
 from __future__ import annotations
@@ -22,21 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arith import (
-    OddPrime,
-    check_odd_prime,
-    field_discriminant,
-    kronecker,
-    squarefree_decompose,
-    v2,
-)
-from .errors import TheoremViolation
+from .arith import OddPrime, check_odd_prime, v2
 
 DEFAULT_DEPTH = 6
-
-SPLIT = "split"
-INERT = "inert"
-RAMIFIED = "ramified"
 
 PRIMITIVE = "primitive"
 SEMI_PRIMITIVE = "semi-primitive"
@@ -67,14 +60,6 @@ class TowerProfile:
                 raise ValueError(f"profile jumps by more than 2 at level {lvl}")
             prev_f, prev_g = lvl.f, lvl.g
 
-    @property
-    def residue_degrees(self) -> tuple[int, ...]:
-        return tuple(lvl.f for lvl in self.levels)
-
-    @property
-    def place_counts(self) -> tuple[int, ...]:
-        return tuple(lvl.g for lvl in self.levels)
-
 
 @dataclass(frozen=True)
 class PrimitivityClass:
@@ -98,14 +83,6 @@ class PrimitivityClass:
             raise ValueError("imprimitive requires split_depth >= 2")
 
     @classmethod
-    def primitive(cls) -> "PrimitivityClass":
-        return cls(PRIMITIVE, 0)
-
-    @classmethod
-    def semi_primitive(cls) -> "PrimitivityClass":
-        return cls(SEMI_PRIMITIVE, 1)
-
-    @classmethod
     def from_split_depth(cls, split_depth: int) -> "PrimitivityClass":
         kind = {0: PRIMITIVE, 1: SEMI_PRIMITIVE}.get(split_depth, IMPRIMITIVE)
         return cls(kind, split_depth)
@@ -114,23 +91,10 @@ class PrimitivityClass:
     def is_primitive(self) -> bool:
         return self.kind == PRIMITIVE
 
-    @property
-    def is_semi_primitive(self) -> bool:
-        return self.kind == SEMI_PRIMITIVE
-
     def __str__(self) -> str:
         if self.kind == IMPRIMITIVE:
             return f"{self.kind}(split_depth={self.split_depth})"
         return self.kind
-
-
-@dataclass(frozen=True)
-class PrimePlace:
-    """An odd prime with its tower profile and primitivity class over Q."""
-
-    prime: int
-    profile: TowerProfile
-    primitivity: PrimitivityClass
 
 
 def _order_mod_2power_up_to_sign(q: int, n: int) -> int:
@@ -187,49 +151,3 @@ def check_primitive_pair(p: int, q: int) -> tuple[int, int]:
         raise ValueError("p and q must be distinct")
     return pair[0], pair[1]
 
-
-def prime_place(q: int | OddPrime, depth: int = DEFAULT_DEPTH) -> PrimePlace:
-    profile = decomposition_profile(q, depth)
-    return PrimePlace(profile.prime, profile, _primitivity(profile.prime))
-
-
-def place_primitivity_in_quadratic(
-    m: int, q: int | OddPrime, depth: int = DEFAULT_DEPTH
-) -> tuple[str, PrimitivityClass | None]:
-    """Splitting of q in K = Q(sqrt(m)) and primitivity of the places above it.
-
-    The places of K above an unramified q are classified through the
-    compositum of K with each tower layer: the Frobenius there is the pair
-    (Frobenius in K, image of q in (Z/2^(n+2))*/{+-1}), of order
-    lcm(f_K, f_n).  Ramified q gets no primitivity class (None); only the
-    splitting is returned for it.
-    """
-    q = check_odd_prime(q)
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    m = int(m)
-    _, f = squarefree_decompose(m)
-    if f != 1:
-        raise ValueError(f"m={m} is not squarefree")
-    symbol = kronecker(field_discriminant(m), q)
-    if symbol == 0:
-        return RAMIFIED, None
-    f_K = 1 if symbol == 1 else 2
-
-    # Relative profile over K, used to double-check the congruence shortcut.
-    rel_f = []
-    for n in range(1, depth + 1):
-        f_n = _order_mod_2power_up_to_sign(q, n)
-        pair_order = max(f_K, f_n)  # lcm of powers of 2
-        rel_f.append(pair_order // f_K)
-
-    # Exact split depth over K from the congruence level of q.
-    t = _sign_level(q)
-    split_depth = (t - 2) if f_K == 1 else (t - 1)
-    for n, fr in enumerate(rel_f, start=1):
-        expected = 1 if n <= split_depth else 1 << (n - split_depth)
-        if fr != expected:
-            raise TheoremViolation(
-                f"profile/congruence mismatch for m={m}, q={q} at layer {n}: {fr} != {expected}"
-            )
-    return (SPLIT if symbol == 1 else INERT), PrimitivityClass.from_split_depth(split_depth)

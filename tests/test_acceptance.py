@@ -10,7 +10,6 @@ import time
 
 from birat2 import (
     adjoin_sqrt2,
-    genus_2rank,
     imaginary_labels,
     is_2birational_multiquadratic,
     is_2birational_quadratic,
@@ -20,9 +19,9 @@ from birat2 import (
     make_field,
     mirror_group_trivial,
     narrow_class_group,
+    plan_and_realize,
     primes_up_to,
     ray_quotient_report,
-    realize_step1,
     reflection_ranks,
     verify_2birational_quadratic_oracle,
     verify_2rational_quadratic,
@@ -147,14 +146,14 @@ def test_acceptance_5_propagation_end_to_end():
     for p in ps:
         for q in qs:
             pairs += 1
-            step_p = realize_step1(p, q, "P")
-            step_q = realize_step1(p, q, "Q")
+            step_p = plan_and_realize(p, q, "P").realized_step1
+            step_q = plan_and_realize(p, q, "Q").realized_step1
             assert step_p.verdict.positive and step_q.verdict.positive, (p, q)
             assert step_p.kprime.value != step_q.kprime.value
             assert step_p.kprime.value in (p, 2 * p)
             assert step_q.kprime.value in (q, 2 * q)
-    assert realize_step1(3, 5, "P").kprime.value == 6
-    assert realize_step1(5, 3, "P").kprime.value == 10
+    assert plan_and_realize(3, 5, "P").realized_step1.kprime.value == 6
+    assert plan_and_realize(5, 3, "P").realized_step1.kprime.value == 10
     print(f"\nACCEPTANCE 5 (propagation end-to-end, {pairs} pairs to 100): PASS")
 
 
@@ -214,7 +213,7 @@ def test_acceptance_7b_jacobi_reciprocity_exhaustive():
     print(f"\nACCEPTANCE 7b (quadratic reciprocity, {pairs} prime pairs to 1e3): PASS")
 
 
-def test_acceptance_7c_genus_rank_agreement():
+def test_acceptance_7c_genus_rank_agreement(genus_2rank):
     start = time.monotonic()
     count = 0
     for D in range(-10_000, 10_001):

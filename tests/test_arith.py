@@ -155,8 +155,10 @@ def test_squarefree_int_validation():
     with pytest.raises(ValueError):
         SquarefreeInt(12, (2, 2, 3))
     with pytest.raises(ValueError):
-        SquarefreeInt.from_int(12)
-    s = SquarefreeInt.from_int(-30)
+        SquarefreeInt(12, (2, 3))
+    with pytest.raises(ValueError):
+        SquarefreeInt(-30, (3, 2, 5))
+    s = SquarefreeInt(-30, (2, 3, 5))
     assert s.primes == (2, 3, 5) and s.sign == -1 and s.odd_primes == (3, 5)
 
 

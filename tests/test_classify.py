@@ -7,12 +7,15 @@ from birat2 import (
     PrimitivityClass,
     adjoin_sqrt2,
     check_propagation,
+    field_discriminant,
     imaginary_labels,
     is_2birational_multiquadratic,
     is_2birational_quadratic,
     is_2rational_multiquadratic,
+    kronecker,
     make_field,
-    prime_place,
+    primes_up_to,
+    primitivity_over_Q,
     quadratic_subfields,
 )
 
@@ -163,10 +166,12 @@ def test_verdict_invariant():
 
 
 def test_check_propagation_cases():
-    P = PrimitivityClass.primitive()
-    S = PrimitivityClass.semi_primitive()
+    P = PrimitivityClass("primitive", 0)
+    S = PrimitivityClass.from_split_depth(1)
     v = check_propagation([(3, P), (5, P)], 2, 3, "split")
     assert v.positive and v.case == "PROPA_B2"
+    # places are plain labels, compared by their str
+    assert check_propagation([("3", P), ("5", P)], 2, 3, "split") == v
     v = check_propagation([(3, P), (5, P)], 2, 3, "inert")
     assert v.positive and v.case == "PROPA_B1"
     v = check_propagation([(3, P), (5, P)], 4, 3, "split")
@@ -185,13 +190,26 @@ def test_check_propagation_cases():
         check_propagation([(3, P), (5, P)], 1, 3, "split")
 
 
-def test_check_propagation_accepts_place_objects():
-    place3 = prime_place(3)
-    place5 = prime_place(5)
-    v = check_propagation(
-        [(place3, place3.primitivity), (place5, place5.primitivity)],
-        2,
-        place3,
-        "inert",
-    )
-    assert v.positive and v.case == "PROPA_B1"
+def test_tame_criterion_matches_the_classifier():
+    # Q(sqrt(-pq), sqrt(m)) is 2-birational exactly for m = 2 (the
+    # cyclotomic layer) and for the real quadratic K' = Q(sqrt(m)) with one
+    # odd prime t through which the criterion propagates L = Q(sqrt(-pq))
+    ps = [r for r in primes_up_to(60) if r % 8 == 3]
+    qs = [r for r in primes_up_to(60) if r % 8 == 5]
+    ms = [m for m in squarefree_up_to(599) if m >= 2]
+    odd_primes = {m: [r for r in primes_up_to(m) if r > 2 and m % r == 0] for m in ms}
+    positives = 0
+    for p in ps:
+        for q in qs:
+            places = [(p, primitivity_over_Q(p)), (q, primitivity_over_Q(q))]
+            for m in ms:
+                expected = m == 2
+                if len(odd_primes[m]) == 1:
+                    (t,) = odd_primes[m]
+                    o = q if t == p else p
+                    behaviour = "split" if kronecker(field_discriminant(m), o) == 1 else "inert"
+                    expected = check_propagation(places, 2, t, behaviour).positive
+                verdict = is_2birational_multiquadratic(make_field([-p * q, m]))
+                assert verdict.positive == expected, (p, q, m, verdict.case)
+                positives += expected
+    assert (len(ps) * len(qs), len(ms), positives) == (25, 365, 125)

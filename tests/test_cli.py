@@ -4,7 +4,17 @@ import subprocess
 import sys
 import time
 
-from birat2 import AbelianGroupStructure, EffortBoundExceeded, TheoremViolation, cli, rayclass
+import pytest
+
+from birat2 import (
+    AbelianGroupStructure,
+    EffortBoundExceeded,
+    TheoremViolation,
+    cli,
+    quadforms,
+    rayclass,
+    verify_2rational_quadratic,
+)
 from birat2.cli import main
 
 
@@ -227,6 +237,22 @@ def test_verify_effort_errors_land_in_their_suite(capsys, monkeypatch):
 def test_verify_huge_bound_rejected(capsys):
     code, _, err = run_cli(capsys, "verify", "--bound", "1000000000")
     assert code == 2 and "limit" in err
+
+
+def test_verify_limit_is_the_real_discriminant_bound(capsys):
+    # suite 2 builds Q(sqrt(m)) for |m| <= bound, of discriminant up to 4m
+    limit = cli.VERIFY_MAX_BOUND
+    assert 4 * limit <= quadforms.MAX_POSITIVE_DISC < 4 * (limit + 1)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--bound", str(limit + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and f"limit {limit}" in err
+    # 24999 = 3 (mod 4) is the largest label suite 2 reaches at the limit:
+    # D = 99996; the next such squarefree label, 25003, is out of range
+    for m in (24999, -24999):
+        verify_2rational_quadratic(m)
+    with pytest.raises(ValueError, match="enumeration bound"):
+        verify_2rational_quadratic(25003)
 
 
 def test_kprime_command(capsys):

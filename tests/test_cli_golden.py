@@ -1,9 +1,11 @@
 """Behaviour gate: the stdout of fixed CLI runs, pinned by sha256.
 
 A performance change or a refactor must leave these payloads byte-identical.
+Each test id is the whole command line, so an id names one fixed command.
 """
 
 import hashlib
+import shlex
 
 import pytest
 
@@ -37,10 +39,23 @@ GOLDEN = {
     ("tower", "--p", "11", "--q", "13", "--choices", "QP", "--realize"): (
         "198e5dfe31f24f11002283417b8320285cd00b7b115e2610c4b7c9b3e74e4d7c"
     ),
+    # without --realize step 1 is still built and checked, and not printed
+    ("tower", "--p", "3", "--q", "5", "--choices", "PQ"): (
+        "113f57a02c4208757852abc936c09267731c50cd8720dbc07409fb82e3b0e8dd"
+    ),
+    ("tower", "--p", "1000000123", "--q", "1000000021", "--choices", "QPQ"): (
+        "5910a6f74c6e8bfce143700476fe04a776815b49196a1439633715591356c2be"
+    ),
+    ("tower", "--p", "11", "--q", "13", "--choices", ""): (
+        "4531df1c2eabcc88610da5784fa95182bc84ff8b0922d3339ff203e6bcd09ca6"
+    ),
+    ("kprime", "--p", "3", "--q", "5"): (
+        "b81ed8ad1f38c7317a32cc065ee073bbd38cff964aa5cb9a70172a213c8c9589"
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=shlex.join)
 def test_cli_stdout_sha256(capsys, argv):
     code = main(list(argv))
     out = capsys.readouterr().out

@@ -11,7 +11,6 @@ from birat2 import (
     ClassGroup,
     QuadForm,
     TheoremViolation,
-    genus_2rank,
     is_fundamental_discriminant,
     kronecker,
     narrow_class_group,
@@ -39,6 +38,10 @@ def analytic_class_number_imaginary(D):
     return h
 
 
+def coefficients(f):
+    return (f.a, f.b, f.c)
+
+
 def test_quadform_value_semantics():
     f, g = QuadForm(2, 1, 3), QuadForm(*[2, 1, 3])
     assert f == g and hash(f) == hash(g) and f is not g
@@ -47,15 +50,14 @@ def test_quadform_value_semantics():
     with pytest.raises(AttributeError):
         f.a = 5
     assert repr(f) == "QuadForm(a=2, b=1, c=3)"
-    assert (f.a, f.b, f.c, f.discriminant, f.content, f(1, 1)) == (2, 1, 3, -23, 1, 6)
-    assert f.inverse() == QuadForm(2, -1, 3) and f.key() == (2, 1, 3)
+    assert (f.a, f.b, f.c, f.discriminant, math.gcd(*f)) == (2, 1, 3, -23, 1)
     rng = random.Random(5)
     forms = [QuadForm(*(rng.randint(-9, 9) for _ in range(3))) for _ in range(300)]
-    assert sorted(forms) == sorted(forms, key=QuadForm.key)
-    assert min(forms) == min(forms, key=QuadForm.key)
+    assert sorted(forms) == sorted(forms, key=coefficients)
+    assert min(forms) == min(forms, key=coefficients)
     for D in (-3299, -84, 229, 316):
         els = narrow_class_group(D).elements
-        assert list(els) == sorted(els, key=QuadForm.key)
+        assert list(els) == sorted(els, key=coefficients)
 
 
 def test_narrow_group_examples():
@@ -222,7 +224,7 @@ def assert_dirichlet_product(f1, f2):
     D = f1.discriminant
     e = math.gcd(math.gcd(f1.a, f2.a), (f1.b + f2.b) // 2)
     F = compose(f1, f2)
-    assert F.discriminant == D and F.content == 1, (f1, f2, F)
+    assert F.discriminant == D and math.gcd(*F) == 1, (f1, f2, F)
     assert F.a == f1.a * f2.a // (e * e), (f1, f2, F)
     assert (F.b - f1.b) % (2 * f1.a // e) == 0, (f1, f2, F)
     assert (F.b - f2.b) % (2 * f2.a // e) == 0, (f1, f2, F)
@@ -249,8 +251,9 @@ def test_compose_with_shared_leading_factor():
     g = narrow_class_group(-47)
     f = QuadForm(3, 1, 4)
     assert assert_dirichlet_product(f, f) == 1
-    assert assert_dirichlet_product(f, f.inverse()) == 3
-    assert g.mul(f, f.inverse()) == g.identity
+    f_inv = QuadForm(3, -1, 4)
+    assert assert_dirichlet_product(f, f_inv) == 3
+    assert g.mul(f, f_inv) == g.identity
     assert g.mul(f, f) not in (g.identity, f, g.inv(f))
     # indefinite leading coefficients of both signs sharing 3: D = 229
     f1, f2 = QuadForm(3, 13, -5), QuadForm(-3, 13, 5)
@@ -405,13 +408,13 @@ def test_verify_2birational_oracle_examples():
     assert two_dyadic is False
 
 
-def test_genus_rank_examples():
+def test_genus_rank_examples(genus_2rank):
     assert genus_2rank(-15) == 1
     assert genus_2rank(-4) == 0
     assert genus_2rank(60) == 2
 
 
-def test_genus_rank_matches_group_two_rank_small():
+def test_genus_rank_matches_group_two_rank_small(genus_2rank):
     for D in fundamental_discs(-2000, -3) + fundamental_discs(5, 1000):
         g = narrow_class_group(D)
         two_rank = sum(1 for d in g.invariant_factors if d % 2 == 0)
