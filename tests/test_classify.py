@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from birat2 import (
+    OddPrime,
     PrimitivityClass,
     adjoin_sqrt2,
     check_propagation,
@@ -188,6 +189,19 @@ def test_check_propagation_cases():
         check_propagation([(3, P), (5, P)], 2, 3, "ramified")
     with pytest.raises(ValueError):
         check_propagation([(3, P), (5, P)], 1, 3, "split")
+
+
+def test_check_propagation_accepts_place_objects():
+    # a place may be any object; it is labelled by its str
+    place3 = OddPrime(3)
+    place5 = OddPrime(5)
+    v = check_propagation(
+        [(place3, primitivity_over_Q(place3)), (place5, primitivity_over_Q(place5))],
+        2,
+        place3,
+        "inert",
+    )
+    assert v.positive and v.case == "PROPA_B1"
 
 
 def test_tame_criterion_matches_the_classifier():
