@@ -4,7 +4,6 @@ planner for infinite towers of quadratic extensions."""
 
 from .abelian import AbelianGroupStructure
 from .arith import (
-    OddPrime,
     SquarefreeInt,
     factorize,
     field_discriminant,
@@ -58,8 +57,6 @@ from .tower import (
 )
 from .towerdec import (
     PrimitivityClass,
-    TowerProfile,
-    decomposition_profile,
     primitivity_over_Q,
 )
 
@@ -72,7 +69,6 @@ __all__ = [
     "Evidence",
     "FieldSignature",
     "MultiquadField",
-    "OddPrime",
     "PrimitivityClass",
     "QuadForm",
     "RayClassReport",
@@ -81,12 +77,10 @@ __all__ = [
     "StepCertificate",
     "TheoremViolation",
     "TowerPlan",
-    "TowerProfile",
     "UnitGroupMod",
     "Verdict",
     "adjoin_sqrt2",
     "check_propagation",
-    "decomposition_profile",
     "factorize",
     "field_discriminant",
     "find_propagation_field",

@@ -18,6 +18,7 @@ once and for all:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import EffortBoundExceeded
@@ -164,7 +165,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 class SquarefreeInt:
     """A nonzero squarefree integer together with its prime factorization.
 
-    ``value == sign * product(primes)`` with distinct ascending primes.
+    ``abs(value) == product(primes)`` with distinct ascending primes.
     These are the labels m of quadratic extensions Q(sqrt(m)).
     """
 
@@ -181,10 +182,6 @@ class SquarefreeInt:
             raise ValueError(f"factorization {self.primes} does not match {self.value}")
         if list(self.primes) != sorted(set(self.primes)):
             raise ValueError(f"prime list {self.primes} is not ascending and distinct")
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.value < 0 else 1
 
     @property
     def odd_primes(self) -> tuple[int, ...]:
@@ -210,22 +207,12 @@ def squarefree_decompose(n: int) -> tuple[SquarefreeInt, int]:
     return SquarefreeInt(s, tuple(primes)), f
 
 
-@dataclass(frozen=True)
-class OddPrime:
-    """An odd prime, validated on construction."""
+def check_odd_prime(q: int, name: str = "q") -> int:
+    """Validate oddness and primality (one is_prime call); q as an int.
 
-    value: int
-
-    def __post_init__(self) -> None:
-        check_odd_prime(self.value, "value")
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def check_odd_prime(q: int | OddPrime, name: str = "q") -> int:
-    """Coerce to int and validate oddness and primality (one is_prime call)."""
-    q = int(q)
+    Integers only: ``operator.index`` refuses a float such as 3.9, which
+    ``int`` would truncate to the prime 3."""
+    q = operator.index(q)
     if q == 2:
         raise ValueError(f"{name}=2 is dyadic, not an odd prime")
     if q < 3 or q % 2 == 0 or not is_prime(q):

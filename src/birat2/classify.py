@@ -26,7 +26,7 @@ from .fields import (
     quadratic_subfields,
     real_part,
 )
-from .towerdec import PRIMITIVE, PrimitivityClass
+from .towerdec import PrimitivityClass
 
 # 2-rationality cases: the multiquadratic 2-rational fields are exactly the
 # subfields of Q(sqrt(-1), sqrt(2), sqrt(p)) for a prime p = +-3 (mod 8),
@@ -325,7 +325,7 @@ def check_propagation(
 
     labels = [str(place) for place, _ in L_ram]
     classes = [cls for _, cls in L_ram]
-    two_primitive = len(L_ram) == 2 and all(c.kind == PRIMITIVE for c in classes)
+    two_primitive = len(L_ram) == 2 and all(c.is_primitive for c in classes)
     evidence.append(
         _ev(
             "L/K is tamely ramified at exactly two primitive places",

@@ -36,7 +36,7 @@ from .quadforms import (
     verify_2birational_quadratic_oracle,
     verify_2rational_quadratic,
 )
-from .rayclass import _reflection_ranks, find_propagation_field, ray_quotient_report
+from .rayclass import DEFAULT_K_MAX, _reflection_ranks, find_propagation_field, ray_quotient_report
 from .tower import plan_and_realize
 
 SCHEMA = 1
@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rayclass", help="ray quotient structure report for a primitive pair")
     r.add_argument("--p", required=True, type=int)
     r.add_argument("--q", required=True, type=int)
-    r.add_argument("--levels", type=int, default=8)
+    r.add_argument("--levels", type=int, default=DEFAULT_K_MAX)
     r.add_argument("--table", action="store_true", help="emit a CSV row instead of JSON")
 
     t = sub.add_parser("tower", help="plan a 2-birational tower; step 1 is always realized and checked")

@@ -86,11 +86,6 @@ class MultiquadField:
     def real_labels(self) -> tuple[int, ...]:
         return tuple(b.value for b in self.real_subfield_basis)
 
-    def __str__(self) -> str:
-        if not self.basis:
-            return "Q"
-        return "Q(" + ", ".join(f"sqrt({v})" for v in self.labels) + ")"
-
 
 def field_from_labels(labels: Iterable[SquarefreeInt]) -> MultiquadField:
     """Canonical multiquadratic field generated by labels already factored."""

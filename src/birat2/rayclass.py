@@ -222,7 +222,11 @@ class RayClassReport:
         }
 
 
-def ray_quotient_report(p: int, q: int, k_max: int = 8) -> RayClassReport:
+# The top level k of a default report; reflection ranks are read at this level.
+DEFAULT_K_MAX = 8
+
+
+def ray_quotient_report(p: int, q: int, k_max: int = DEFAULT_K_MAX) -> RayClassReport:
     """2-part of (Z/2^k p)*/<-1, q> for k = 3..k_max, with stabilization checks.
 
     For primitive p and q the structure stabilizes to a cyclic group of
@@ -348,18 +352,16 @@ def reflection_ranks(p: int, q: int) -> tuple[int, int]:
     return _reflection_ranks(ray_quotient_report(p, q))
 
 
-_REFLECTION_LEVEL = 8  # the default k_max of ray_quotient_report
-
-
 def _reflection_ranks(report: RayClassReport) -> tuple[int, int]:
     """reflection_ranks(report.p, report.q) from a report reaching at least
-    level 8.  A level's entry does not depend on the report's k_max, so the
-    entries up to level 8 are those of ray_quotient_report(p, q); the
-    stabilization checks that report makes are re-run on them."""
+    level DEFAULT_K_MAX.  A level's entry does not depend on the report's
+    k_max, so the entries up to that level are those of
+    ray_quotient_report(p, q); the stabilization checks that report makes
+    are re-run on them."""
     p, q = report.p, report.q
-    levels = tuple(entry for entry in report.per_level if entry[0] <= _REFLECTION_LEVEL)
-    if levels[-1][0] != _REFLECTION_LEVEL:
-        raise ValueError(f"the report for p={p}, q={q} stops below level {_REFLECTION_LEVEL}")
+    levels = tuple(entry for entry in report.per_level if entry[0] <= DEFAULT_K_MAX)
+    if levels[-1][0] != DEFAULT_K_MAX:
+        raise ValueError(f"the report for p={p}, q={q} stops below level {DEFAULT_K_MAX}")
     rank = len(_check_stabilized(p, q, levels).invariant_factors)
     mirror_rank = 0 if _mirror_group_trivial(q, p) else 1
     if rank - mirror_rank != 1:

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from birat2 import (
     EffortBoundExceeded,
-    OddPrime,
     SquarefreeInt,
     factorize,
     field_discriminant,
@@ -13,6 +12,7 @@ from birat2 import (
     primes_up_to,
     squarefree_decompose,
 )
+from birat2.arith import check_odd_prime
 
 
 def brute_legendre(a, p):
@@ -159,15 +159,17 @@ def test_squarefree_int_validation():
     with pytest.raises(ValueError):
         SquarefreeInt(-30, (3, 2, 5))
     s = SquarefreeInt(-30, (2, 3, 5))
-    assert s.primes == (2, 3, 5) and s.sign == -1 and s.odd_primes == (3, 5)
+    assert s.primes == (2, 3, 5) and s.odd_primes == (3, 5)
 
 
 def test_odd_prime_validation():
-    assert OddPrime(3).value == 3
-    with pytest.raises(ValueError):
-        OddPrime(2)
-    with pytest.raises(ValueError):
-        OddPrime(9)
+    assert check_odd_prime(3) == 3
+    with pytest.raises(ValueError, match="dyadic"):
+        check_odd_prime(2)
+    with pytest.raises(ValueError, match="not prime"):
+        check_odd_prime(9)
+    with pytest.raises(TypeError):
+        check_odd_prime(3.9)
 
 
 def test_field_discriminant():

@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 
 from birat2 import (
-    OddPrime,
     PrimitivityClass,
+    SquarefreeInt,
     adjoin_sqrt2,
     check_propagation,
     field_discriminant,
@@ -167,8 +167,8 @@ def test_verdict_invariant():
 
 
 def test_check_propagation_cases():
-    P = PrimitivityClass("primitive", 0)
-    S = PrimitivityClass.from_split_depth(1)
+    P = PrimitivityClass(0)
+    S = PrimitivityClass(1)
     v = check_propagation([(3, P), (5, P)], 2, 3, "split")
     assert v.positive and v.case == "PROPA_B2"
     # places are plain labels, compared by their str
@@ -193,10 +193,10 @@ def test_check_propagation_cases():
 
 def test_check_propagation_accepts_place_objects():
     # a place may be any object; it is labelled by its str
-    place3 = OddPrime(3)
-    place5 = OddPrime(5)
+    place3 = SquarefreeInt(3, (3,))
+    place5 = SquarefreeInt(5, (5,))
     v = check_propagation(
-        [(place3, primitivity_over_Q(place3)), (place5, primitivity_over_Q(place5))],
+        [(place3, primitivity_over_Q(3)), (place5, primitivity_over_Q(5))],
         2,
         place3,
         "inert",

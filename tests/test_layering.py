@@ -64,3 +64,10 @@ def arith_work(module):
 def test_classifiers_and_tower_read_primes_from_labels():
     for module in ("classify", "tower"):
         assert not arith_work(module), (module, sorted(arith_work(module)))
+
+
+def test_exports_resolve_once():
+    # a stale name in __all__ makes ``from birat2 import *`` raise
+    names = birat2.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(birat2, n)] == []

@@ -1,14 +1,9 @@
 import pytest
 
-from birat2 import (
-    PrimitivityClass,
-    decomposition_profile,
-    primes_up_to,
-    primitivity_over_Q,
-)
+from birat2 import PrimitivityClass, primes_up_to, primitivity_over_Q
 
-PRIMITIVE = PrimitivityClass("primitive", 0)
-SEMI_PRIMITIVE = PrimitivityClass("semi-primitive", 1)
+PRIMITIVE = PrimitivityClass(0)
+SEMI_PRIMITIVE = PrimitivityClass(1)
 
 
 def brute_order_up_to_sign(q, modulus):
@@ -19,36 +14,6 @@ def brute_order_up_to_sign(q, modulus):
             return f
         x = x * q % modulus
     raise AssertionError
-
-
-def degrees_and_counts(prof):
-    return [lvl.f for lvl in prof.levels], [lvl.g for lvl in prof.levels]
-
-
-def test_profile_examples():
-    prof = decomposition_profile(3, 3)
-    assert degrees_and_counts(prof) == ([2, 4, 8], [1, 1, 1])
-    # oracle: orders of 3 modulo +-1 mod 8, 16, 32
-    assert [brute_order_up_to_sign(3, 1 << (n + 2)) for n in (1, 2, 3)] == [2, 4, 8]
-
-    assert degrees_and_counts(decomposition_profile(7, 2)) == ([1, 2], [2, 2])
-    assert degrees_and_counts(decomposition_profile(17, 2)) == ([1, 1], [2, 4])
-
-
-def test_profile_matches_brute_orders():
-    for q in primes_up_to(500):
-        if q == 2:
-            continue
-        prof = decomposition_profile(q, 5)
-        for lvl in prof.levels:
-            assert lvl.f == brute_order_up_to_sign(q, 1 << (lvl.n + 2))
-
-
-def test_profile_input_validation():
-    with pytest.raises(ValueError):
-        decomposition_profile(9, 3)
-    with pytest.raises(ValueError):
-        decomposition_profile(3, 0)
 
 
 def test_primitivity_examples():
@@ -69,27 +34,28 @@ def test_primitivity_congruences():
 
 
 def test_primitivity_matches_profile_exhaustively():
-    # congruence law versus the order computation, primes to 1e4 at depth 6
+    # the profile law against the brute orders, primes to 1e4 at layers 1..6:
+    # q has 2^n / f = 2^min(n, split_depth) places at layer n
+    # oracle anchor: orders of 3 modulo +-1 mod 8, 16, 32
+    assert [brute_order_up_to_sign(3, 1 << (n + 2)) for n in (1, 2, 3)] == [2, 4, 8]
     for q in primes_up_to(10_000):
         if q == 2:
             continue
-        cls = primitivity_over_Q(q)
-        prof = decomposition_profile(q, 6)
-        if cls.is_primitive:
-            assert all(lvl.f == 1 << lvl.n for lvl in prof.levels)
-        elif cls == SEMI_PRIMITIVE:
-            assert all(lvl.g == 2 for lvl in prof.levels)
-            assert all(lvl.f == 1 << (lvl.n - 1) for lvl in prof.levels)
-        else:
-            d = min(cls.split_depth, 6)
-            assert all(lvl.g == 1 << min(lvl.n, d) for lvl in prof.levels)
+        d = primitivity_over_Q(q).split_depth
+        for n in range(1, 7):
+            assert (1 << n) // brute_order_up_to_sign(q, 1 << (n + 2)) == 1 << min(n, d), (q, n)
 
 
 def test_from_split_depth():
-    assert PrimitivityClass.from_split_depth(0) == PRIMITIVE
-    assert PrimitivityClass.from_split_depth(1) == SEMI_PRIMITIVE
-    cls = PrimitivityClass.from_split_depth(3)
-    assert cls.kind == "imprimitive" and cls.split_depth == 3
+    classes = [PrimitivityClass(d) for d in (0, 1, 2, 3)]
+    assert [c.split_depth for c in classes] == [0, 1, 2, 3]
+    assert [c.kind for c in classes] == ["primitive", "semi-primitive", "imprimitive", "imprimitive"]
+    assert [c.is_primitive for c in classes] == [True, False, False, False]
+    assert [str(c) for c in classes] == [
+        "primitive",
+        "semi-primitive",
+        "imprimitive(split_depth=2)",
+        "imprimitive(split_depth=3)",
+    ]
     with pytest.raises(ValueError):
-        PrimitivityClass.from_split_depth(-1)
-
+        PrimitivityClass(-1)
