@@ -187,7 +187,7 @@ class SquarefreeInt:
     def odd_primes(self) -> tuple[int, ...]:
         return tuple(p for p in self.primes if p != 2)
 
-    def __int__(self) -> int:
+    def __index__(self) -> int:
         return self.value
 
 

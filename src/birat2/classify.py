@@ -14,6 +14,7 @@ serializes to the stable JSON shape
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -127,7 +128,7 @@ def is_2birational_quadratic(d: int) -> Verdict:
     Positive exactly when d is a prime = 7 (mod 16), or d = pq for primes
     p = 3 and q = 5 (mod 8).
     """
-    d = int(d)
+    d = operator.index(d)
     if d < 1:
         raise ValueError(f"expected a positive squarefree d, got {d}")
     s, f = squarefree_decompose(d)

@@ -16,6 +16,7 @@ object, so verdicts are reproducible and hashable.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -107,7 +108,7 @@ def make_field(gens: Iterable[int]) -> MultiquadField:
     """
     labels = []
     for g in gens:
-        s, _ = squarefree_decompose(int(g))
+        s, _ = squarefree_decompose(operator.index(g))
         if s.value == 1:
             raise ValueError(f"generator {g} reduces to a square")
         labels.append(s)

@@ -41,6 +41,7 @@ normal form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
@@ -469,7 +470,7 @@ def restricted_2class_quotient(D: int) -> tuple[AbelianGroupStructure, bool]:
 
 def verify_2rational_quadratic(m: int | SquarefreeInt) -> bool:
     """Oracle for 2-rationality of Q(sqrt(m)): unique dyadic place and Cl' = 1."""
-    structure, unique_dyadic = restricted_2class_quotient(field_discriminant(int(m)))
+    structure, unique_dyadic = restricted_2class_quotient(field_discriminant(operator.index(m)))
     return structure.is_trivial and unique_dyadic
 
 
@@ -480,7 +481,7 @@ def verify_2birational_quadratic_oracle(d: int | SquarefreeInt) -> tuple[bool, b
     These are necessary conditions; the unit-index condition is not checked
     here, so oracle agreement is asserted only for classifier positives.
     """
-    d = int(d)
+    d = operator.index(d)
     if d < 1:
         raise ValueError(f"expected positive squarefree d, got {d}")
     two_dyadic = (-d) % 8 == 1

@@ -2,26 +2,33 @@
 
 The maximal abelian 2-extension of Q that is totally real, tamely ramified
 only at a primitive prime p and split at a second primitive prime q has
-Galois group isomorphic to the 2-part of (Z/2^k p)* / <-1, q> once k is
-large enough.  This module computes the invariant factors of those
-quotients from their relation lattices, checks the stabilized structure
-(cyclic of order 2^v2(p-1)), finds the real quadratic field realizing the
-quadratic subextension, and verifies the reflection identities that make the
-whole construction tick.  The invariant-factor normal form comes from
-``abelian``.
+Galois group isomorphic to the 2-part of (Z/2^k p)* / <-1, q> for k >= 4.
+This module computes the invariant factors of those quotients from their
+relation lattices, checks the stabilization law, finds the real quadratic
+field realizing the quadratic subextension, and verifies the reflection
+identities that make the whole construction tick.  The invariant-factor
+normal form comes from ``abelian``.
 
 Only 2-parts are computed.  For a finite abelian group G with subgroup H,
 the 2-part of G/H is the 2-Sylow G_2 modulo the projection of H, so the
-unit group is presented by generators of its 2-Sylow: -1, 5 and an element
-of order 2^v2(p-1) mod p^a.  Discrete logarithms are Pohlig-Hellman at the
-single prime 2 (Pohlig and Hellman, IEEE Trans. IT 24, 1978): a unit is
-projected onto the 2-Sylow by one power, and its exponents are read bit by
-bit.  The known dlog of -1 removes the generator -1; the rest, presented by
-the orders 2^(k-2), 2^v and the relation of q, has invariant factors that
-are quotients of determinantal divisors (Cohen, GTM 138, 2.4).  A report takes
+unit group of M = 2^k p (k >= 3, p an odd prime) is presented by
+generators of its 2-Sylow: -1, 5 and an element g of order 2^v, v =
+v2(p-1), mod p.  Discrete logarithms are Pohlig-Hellman at the single
+prime 2 (Pohlig and Hellman, IEEE Trans. IT 24, 1978): a unit is projected
+onto the 2-Sylow by one power, and its exponents are read bit by bit.  The
+known dlog of -1 removes the generator -1; the rest, presented by the
+orders 2^(k-2), 2^v and the relation of q, has invariant factors that are
+quotients of determinantal divisors (Cohen, GTM 138, 2.4).  A report takes
 one presentation at its top level and reduces the exponents to each lower
 level, so its work is polynomial in log p and k, with no factorization of
 p - 1 and no table.
+
+The stabilization law: every level k >= 4 is cyclic of order 2^v.  A
+primitive q = +-3 (mod 8) is +-5^b mod 2^k with b odd, so the relation of
+q eliminates the generator 5.  What is left is <g> of order 2^v modulo
+2^(k-2) times an element of it, which vanishes once 2^(k-2) >= 2^v; a
+primitive p = +-3 (mod 8) has v <= 2, so that holds for k >= 4.  Level 3,
+where 5 has order 2, may be smaller.
 """
 
 from __future__ import annotations
@@ -46,52 +53,44 @@ from .towerdec import check_primitive_pair
 
 @dataclass(frozen=True)
 class UnitGroupMod:
-    """Generators of the 2-Sylow subgroup of (Z/M)* for M = 2^k * p^a.
+    """Generators of the 2-Sylow subgroup of (Z/M)* for M = 2^k p, with
+    k >= 3 and p an odd prime.
 
     ``generators`` lists (element, order) pairs whose cyclic spans give the
     2-Sylow as a direct product: -1 and 5 (the whole of (Z/2^k)*), then an
-    element of order 2^v2(p-1) mod p^a.  ``dlog`` writes the 2-Sylow
-    projection of any unit in terms of them, with each exponent in
-    [0, order); on the 2-Sylow itself it inverts the generators.
+    element of order 2^v2(p-1) mod p.  ``dlog`` writes the 2-Sylow
+    projection of any unit in terms of them as (sign, b, e), with each
+    exponent in [0, order); on the 2-Sylow itself it inverts the generators.
     """
 
     modulus: int
     generators: tuple[tuple[int, int], ...]
     _two_exp: int
-    _odd_prime_power: int
+    _odd_prime: int
     _odd_generator: int
-    _projection: int  # = 1 mod 2^v2(phi(p^a)) and = 0 mod odd(phi(p^a))
+    _projection: int  # = 1 mod 2^v2(p-1) and = 0 mod odd(p-1)
 
-    def dlog(self, x: int) -> tuple[int, ...]:
+    def dlog(self, x: int) -> tuple[int, int, int]:
         x = x % self.modulus
         if math.gcd(x, self.modulus) != 1:
             raise ValueError(f"{x} is not a unit mod {self.modulus}")
-        exps: list[int] = []
-        k = self._two_exp
-        if k >= 2:
-            M2 = 1 << k
-            x2 = x % M2
-            sign = 0 if x2 % 4 == 1 else 1
-            exps.append(sign)
-            if k >= 3:
-                b = _dlog_two_power(M2 - x2 if sign else x2, 5, 1 << (k - 2), M2)
-                power = pow(5, b, M2)
-                if (M2 - power if sign else power) != x2:
-                    raise TheoremViolation(
-                        f"dlog of {x} mod {self.modulus}: {x2} is not +-5^b mod {M2}"
-                    )
-                exps.append(b)
-        pa = self._odd_prime_power
-        if pa > 1:
-            g = self._odd_generator
-            y = pow(x, self._projection, pa)  # the 2-Sylow part of x mod p^a
-            e = _dlog_two_power(y, g, self.generators[-1][1], pa)
-            if pow(g, e, pa) != y:
-                raise TheoremViolation(
-                    f"dlog of {x} mod {self.modulus}: {y} is not a power of {g} mod {pa}"
-                )
-            exps.append(e)
-        return tuple(exps)
+        M2 = 1 << self._two_exp
+        x2 = x % M2
+        sign = 0 if x2 % 4 == 1 else 1
+        b = _dlog_two_power(M2 - x2 if sign else x2, 5, M2 >> 2, M2)
+        power = pow(5, b, M2)
+        if (M2 - power if sign else power) != x2:
+            raise TheoremViolation(
+                f"dlog of {x} mod {self.modulus}: {x2} is not +-5^b mod {M2}"
+            )
+        p, g = self._odd_prime, self._odd_generator
+        y = pow(x, self._projection, p)  # the 2-Sylow part of x mod p
+        e = _dlog_two_power(y, g, self.generators[2][1], p)
+        if pow(g, e, p) != y:
+            raise TheoremViolation(
+                f"dlog of {x} mod {self.modulus}: {y} is not a power of {g} mod {p}"
+            )
+        return sign, b, e
 
 
 def _dlog_two_power(y: int, g: int, n: int, m: int) -> int:
@@ -113,59 +112,34 @@ def _dlog_two_power(y: int, g: int, n: int, m: int) -> int:
 
 
 def units_mod(M: int) -> UnitGroupMod:
-    """Generators of the 2-Sylow of (Z/M)* for M = 2^k * p^a, M >= 3.
+    """Generators of the 2-Sylow of (Z/M)* for M = 2^k p, with k >= 3 and p
+    an odd prime; any other M raises ValueError.
 
-    The odd generator is nu^(phi/2^v) for the least quadratic non-residue nu
-    mod p, where phi = phi(p^a) and v = v2(p - 1): nu has odd exponent over a
-    primitive root, so this power has order exactly 2^v.
+    The odd generator is nu^((p-1)/2^v) for the least quadratic non-residue
+    nu mod p, where v = v2(p - 1): nu has odd exponent over a primitive
+    root, so this power has order exactly 2^v.
     """
-    if M < 3:
-        raise ValueError(f"modulus must be >= 3, got {M}")
-    k = v2(M)
-    rest = M >> k
-    if rest == 1:
-        return _units_mod(k, 1, 0)
-    fac = factorize(rest)
-    if len(fac) != 1:
+    k = v2(M) if M >= 8 else 0
+    fac = factorize(M >> k) if k >= 3 else []
+    if len(fac) != 1 or fac[0][1] != 1:
         raise ValueError(
-            f"unsupported modulus shape {M}: expected 2^k times a prime power"
+            f"unsupported modulus shape {M}: expected 2^k p with k >= 3 and p an odd prime"
         )
-    return _units_mod(k, *fac[0])
+    return _units_mod(k, fac[0][0])
 
 
-def _units_mod(k: int, p: int, a: int) -> UnitGroupMod:
-    # units_mod(2^k * p^a) for a modulus already factored (p = 1 when a = 0)
-    pa = p ** a if a else 1
-    M2 = 1 << k
-    M = M2 * pa
-
-    def lift(residue_two: int, residue_odd: int) -> int:
-        # CRT lift to mod M
-        x = 0
-        if M2 > 1 and pa > 1:
-            if math.gcd(M2, pa) != 1:
-                raise TheoremViolation(f"CRT moduli {M2} and {pa} of {M} are not coprime")
-            x = (residue_two * pa * pow(pa, -1, M2) + residue_odd * M2 * pow(M2, -1, pa)) % M
-        elif M2 > 1:
-            x = residue_two % M
-        else:
-            x = residue_odd % M
-        return x
-
-    gens: list[tuple[int, int]] = []
-    if k >= 2:
-        gens.append((lift(M2 - 1, 1), 2))
-        if k >= 3:
-            gens.append((lift(5, 1), 1 << (k - 2)))
-    g_two, projection = 0, 0
-    if pa > 1:
-        n = 1 << v2(p - 1)
-        odd = (p - 1) // n * p ** (a - 1)  # phi(p^a) = n * odd
-        nu = next(r for r in range(2, p) if jacobi(r, p) == -1)
-        g_two = pow(nu, odd, pa)
-        projection = odd * pow(odd, -1, n)
-        gens.append((lift(1, g_two), n))
-    return UnitGroupMod(M, tuple(gens), k if k >= 2 else 0, pa, g_two, projection)
+def _units_mod(k: int, p: int) -> UnitGroupMod:
+    # units_mod(2^k p) for k >= 3 and an odd prime p already known; a unit
+    # with residues r2 mod 2^k and rp mod p is r2 e2 + rp ep mod 2^k p
+    M = (1 << k) * p
+    e2 = p * pow(p, -1, 1 << k)  # = 1 mod 2^k, = 0 mod p
+    ep = (1 - e2) % M  # = 0 mod 2^k, = 1 mod p
+    n = 1 << v2(p - 1)
+    odd = (p - 1) // n
+    nu = next(r for r in range(2, p) if jacobi(r, p) == -1)
+    g = pow(nu, odd, p)
+    gens = (((ep - e2) % M, 2), ((5 * e2 + ep) % M, 1 << (k - 2)), ((e2 + g * ep) % M, n))
+    return UnitGroupMod(M, gens, k, p, g, odd * pow(odd, -1, n))
 
 
 def smith_invariant_factors(rows: list[list[int]], ngens: int) -> tuple[int, ...]:
@@ -222,15 +196,14 @@ class RayClassReport:
         }
 
 
-# The top level k of a default report; reflection ranks are read at this level.
+# The top level k of a default report, and the default of ``rayclass --levels``.
 DEFAULT_K_MAX = 8
 
 
 def ray_quotient_report(p: int, q: int, k_max: int = DEFAULT_K_MAX) -> RayClassReport:
-    """2-part of (Z/2^k p)*/<-1, q> for k = 3..k_max, with stabilization checks.
-
-    For primitive p and q the structure stabilizes to a cyclic group of
-    order 2^v2(p-1); any other outcome raises TheoremViolation.
+    """2-part of (Z/2^k p)*/<-1, q> for k = 3..k_max, checked against the
+    stabilization law: for primitive p and q every level k >= 4 is cyclic
+    of order 2^v2(p-1); any other outcome raises TheoremViolation.
     """
     p, q = check_primitive_pair(p, q)
     if k_max < 5:
@@ -243,8 +216,8 @@ def ray_quotient_report(p: int, q: int, k_max: int = DEFAULT_K_MAX) -> RayClassR
     # is (1, 0, 2^(v-1)): e1 = -2^(v-1) e3 drops the Z/2 factor, and each level is
     # Z^2 modulo 2^(k-2) e2, 2^v e3 and b e2 + (e + s 2^(v-1)) e3 (the sign of
     # s 2^(v-1) is immaterial mod 2^v).
-    units = _units_mod(k_max, p, 1)
-    order_p = units.generators[-1][1]  # 2^v2(p-1)
+    units = _units_mod(k_max, p)
+    order_p = units.generators[2][1]  # 2^v2(p-1)
     half = order_p // 2
     minus_one = units.dlog(-1)
     if minus_one != (1, 0, half):
@@ -256,24 +229,21 @@ def ray_quotient_report(p: int, q: int, k_max: int = DEFAULT_K_MAX) -> RayClassR
         rows = [[order_5, 0], [0, order_p], [b % order_5, (e + s * half) % order_p]]
         per_level.append((k, AbelianGroupStructure(smith_invariant_factors(rows, 2))))
 
-    final = _check_stabilized(p, q, per_level)
+    _check_stabilized(p, q, per_level)
     kprime = _find_propagation_field(p, q)
-    return RayClassReport(p, q, tuple(per_level), final.order, kprime.value)
+    return RayClassReport(p, q, tuple(per_level), order_p, kprime.value)
 
 
-def _check_stabilized(p: int, q: int, per_level) -> AbelianGroupStructure:
-    """The structure at the last level of ``per_level``, checked to equal the
-    one before it and to be cyclic of order 2^v2(p-1)."""
-    k, final = per_level[-1]
-    if per_level[-2][1] != final:
-        raise TheoremViolation(f"ray quotient for p={p}, q={q} did not stabilize by k={k}")
-    expected = 1 << v2(p - 1)
-    if not final.is_cyclic or final.order != expected:
-        raise TheoremViolation(
-            f"ray quotient for p={p}, q={q} is {final.invariant_factors}, "
-            f"expected cyclic of order {expected}"
-        )
-    return final
+def _check_stabilized(p: int, q: int, per_level) -> None:
+    """The stabilization law (module docstring): every level k >= 4 of
+    ``per_level`` is cyclic of order 2^v2(p-1).  Level 3 is exempt."""
+    expected = (1 << v2(p - 1),)
+    for k, structure in per_level:
+        if k >= 4 and structure.invariant_factors != expected:
+            raise TheoremViolation(
+                f"ray quotient for p={p}, q={q} at level k={k} is "
+                f"{structure.invariant_factors}, expected cyclic of order {expected[0]}"
+            )
 
 
 def find_propagation_field(p: int, q: int) -> SquarefreeInt:
@@ -353,16 +323,12 @@ def reflection_ranks(p: int, q: int) -> tuple[int, int]:
 
 
 def _reflection_ranks(report: RayClassReport) -> tuple[int, int]:
-    """reflection_ranks(report.p, report.q) from a report reaching at least
-    level DEFAULT_K_MAX.  A level's entry does not depend on the report's
-    k_max, so the entries up to that level are those of
-    ray_quotient_report(p, q); the stabilization checks that report makes
-    are re-run on them."""
+    """reflection_ranks(report.p, report.q) read off a report: the
+    stabilization law is re-checked on its levels, and the rank is read at
+    its top level."""
     p, q = report.p, report.q
-    levels = tuple(entry for entry in report.per_level if entry[0] <= DEFAULT_K_MAX)
-    if levels[-1][0] != DEFAULT_K_MAX:
-        raise ValueError(f"the report for p={p}, q={q} stops below level {DEFAULT_K_MAX}")
-    rank = len(_check_stabilized(p, q, levels).invariant_factors)
+    _check_stabilized(p, q, report.per_level)
+    rank = len(report.per_level[-1][1].invariant_factors)
     mirror_rank = 0 if _mirror_group_trivial(q, p) else 1
     if rank - mirror_rank != 1:
         raise TheoremViolation(

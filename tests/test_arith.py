@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,11 +8,15 @@ from birat2 import (
     SquarefreeInt,
     factorize,
     field_discriminant,
+    is_2birational_quadratic,
     is_prime,
     jacobi,
     kronecker,
+    make_field,
     primes_up_to,
     squarefree_decompose,
+    verify_2birational_quadratic_oracle,
+    verify_2rational_quadratic,
 )
 from birat2.arith import check_odd_prime
 
@@ -170,6 +176,25 @@ def test_odd_prime_validation():
         check_odd_prime(9)
     with pytest.raises(TypeError):
         check_odd_prime(3.9)
+
+
+def test_entry_points_refuse_floats():
+    # int() would truncate 7.9 to the prime 7 = 7 (mod 16), a positive
+    for call in (
+        lambda: is_2birational_quadratic(7.9),
+        lambda: make_field([2.5, -7.2]),
+        lambda: verify_2birational_quadratic_oracle(7.9),
+        lambda: verify_2rational_quadratic(3.7),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    # labels are integers to all of them
+    label = SquarefreeInt(7, (7,))
+    assert int(label) == operator.index(label) == 7
+    assert make_field([label]) == make_field([7])
+    assert is_2birational_quadratic(label).positive
+    assert verify_2birational_quadratic_oracle(label) == verify_2birational_quadratic_oracle(7)
+    assert verify_2rational_quadratic(SquarefreeInt(2, (2,)))
 
 
 def test_field_discriminant():

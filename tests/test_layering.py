@@ -71,3 +71,14 @@ def test_exports_resolve_once():
     names = birat2.__all__
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
     assert [n for n in names if not hasattr(birat2, n)] == []
+
+
+def test_no_assert_statements():
+    # python -O strips asserts: self-checks raise TheoremViolation instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -35,14 +35,13 @@ def test_abelian_structure_validation():
 
 
 def test_units_mod_examples():
-    # generators of the 2-Sylow: -1, 5 and nu^(phi/2^v) for the least
+    # generators of the 2-Sylow: -1, 5 and nu^((p-1)/2^v) for the least
     # non-residue nu
-    u = units_mod(8)
-    assert [(g % 8, n) for g, n in u.generators] == [(7, 2), (5, 2)]
-    u = units_mod(9)
-    assert u.generators == ((8, 2),)  # 2^3; phi = 6
-    assert units_mod(13).generators == ((8, 4),)  # 2^3; phi = 12
-    assert units_mod(17).generators == ((3, 16),)  # 2 is a square mod 17
+    u = units_mod(8 * 13)
+    assert [(g % 8, g % 13, n) for g, n in u.generators] == [(7, 1, 2), (5, 1, 2), (1, 8, 4)]
+    # 2 is a square mod 17, so nu = 3
+    u = units_mod(8 * 17)
+    assert [(g % 8, g % 17, n) for g, n in u.generators] == [(7, 1, 2), (5, 1, 2), (1, 3, 16)]
     u = units_mod(24)
     gens = u.generators
     assert [n for _, n in gens] == [2, 2, 2]
@@ -53,27 +52,20 @@ def test_units_mod_examples():
 
 
 def test_units_mod_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        units_mod(15)  # 3 * 5: two odd primes
-    with pytest.raises(ValueError):
-        units_mod(2)
+    # only M = 2^k p with k >= 3 and p an odd prime: no odd part, k < 3, two
+    # odd primes, a prime power, M < 8
+    for M in (8, 9, 12, 15, 72, 8 * 15, 16 * 9, 2, 0, -24):
+        with pytest.raises(ValueError, match="unsupported modulus shape"):
+            units_mod(M)
     # odd parts past the primality-test bound: factorize, not is_prime, reads them
     with pytest.raises(ValueError, match="unsupported modulus shape"):
         units_mod(32 * 3 * 5**40)
 
 
-def test_units_mod_large_prime_power():
-    M = 3**60
-    u = units_mod(M)
-    ((g, n),) = u.generators
-    assert n == 2 and g == M - 1  # the 2-Sylow of (Z/3^60)* is {1, -1}
-    assert u.dlog(2) == (1,) and u.dlog(4) == (0,)
-
-
 def test_units_mod_dlog_roundtrip():
     # the generators' power is the 2-Sylow projection y of x: y has 2-power
     # order and x / y odd order; on the 2-Sylow itself, y = x
-    for M in (8, 9, 16, 24, 40, 48, 27, 96, 11, 22, 17, 68, 125, 194):
+    for M in (24, 40, 48, 88, 96, 136, 8 * 97, 64 * 11):
         u = units_mod(M)
         units = [x for x in range(1, M) if math.gcd(x, M) == 1]
         odd = len(units) >> v2(len(units))
@@ -109,69 +101,65 @@ def test_dlog_failure_raises_theorem_violation():
 
 
 def linear_dlog_tables(u):
-    """Reference dlog by linear search: walk +-5^b mod 2^k and g^e mod p^a,
+    """Reference dlog by linear search: walk +-5^b mod 2^k and g^e mod p,
     keep the first hit.
 
     Returns (two, odd, t): residue mod 2^k -> exponents of (-1, 5), residue
-    mod p^a -> exponent of g, and the exponent t that projects a unit mod p^a
-    onto the 2-Sylow (t = 1 mod 2^v and t = 0 mod the odd part of phi(p^a)).
+    mod p -> exponent of g, and the exponent t that projects a unit mod p
+    onto the 2-Sylow (t = 1 mod 2^v and t = 0 mod the odd part of p - 1).
     """
-    k, pa, g = u._two_exp, u._odd_prime_power, u._odd_generator
-    two = {0: ()}  # no 2-part: residues mod 2^0 = 1
-    if k == 2:
-        two = {1: (0,), 3: (1,)}
-    elif k >= 3:
-        M2, two, power = 1 << k, {}, 1
-        for b in range(1 << (k - 2)):
-            two.setdefault(power, (0, b))
-            two.setdefault(M2 - power, (1, b))
-            power = power * 5 % M2
-    odd, t = {0: ()}, 1
-    if pa > 1:
-        p = factorize(pa)[0][0]
-        phi = pa - pa // p
-        n = phi & -phi
-        assert pow(g, n, pa) == 1 and pow(g, n // 2, pa) != 1  # order 2^v
-        t = next(t for t in range(0, phi, phi // n) if t % n == 1)
-        odd, power = {}, 1
-        for e in range(n):
-            odd.setdefault(power, (e,))
-            power = power * g % pa
+    k, p, g = u._two_exp, u._odd_prime, u._odd_generator
+    M2, two, power = 1 << k, {}, 1
+    for b in range(1 << (k - 2)):
+        two.setdefault(power, (0, b))
+        two.setdefault(M2 - power, (1, b))
+        power = power * 5 % M2
+    n = (p - 1) & (1 - p)
+    assert pow(g, n, p) == 1 and pow(g, n // 2, p) != 1  # order 2^v
+    t = next(t for t in range(0, p - 1, (p - 1) // n) if t % n == 1)
+    odd, power = {}, 1
+    for e in range(n):
+        odd.setdefault(power, (e,))
+        power = power * g % p
     return two, odd, t
 
 
 def supported_moduli(bound):
-    """Every M = 2^k p^a in 3..bound, the shapes units_mod accepts."""
-    for M in range(3, bound + 1):
-        odd = M >> ((M & -M).bit_length() - 1)
-        if odd == 1 or len(factorize(odd)) == 1:
+    """Every M = 2^k p in 3..bound with k >= 3 and p an odd prime, the
+    shapes units_mod accepts."""
+    for M in range(8, bound + 1, 8):
+        odd = M >> v2(M)
+        if factorize(odd) == [(odd, 1)]:
             yield M
 
 
 def test_dlog_matches_linear_search_exhaustive():
     moduli = list(supported_moduli(5000))
-    # k = 0, 1, 2 and >= 3 against a = 0, 1 and >= 2
-    assert {4, 8, 3, 6, 12, 24, 9, 18, 36, 72} <= set(moduli)
+    # k = 3, 4 and >= 5 against small and large p; no prime powers
+    assert {24, 40, 48, 80, 96, 160, 8 * 619, 1024 * 3} <= set(moduli)
+    assert not {8, 72, 120, 8 * 25} & set(moduli)
     for M in moduli:
         u = units_mod(M)
         two, odd, t = linear_dlog_tables(u)
-        M2, pa = 1 << u._two_exp, u._odd_prime_power
+        M2, p = 1 << u._two_exp, u._odd_prime
         for x in range(1, M):
             if math.gcd(x, M) == 1:
-                assert u.dlog(x) == two[x % M2] + odd[pow(x, t, pa)], (M, x)
+                assert u.dlog(x) == two[x % M2] + odd[pow(x, t, p)], (M, x)
 
 
 @pytest.mark.parametrize("p", [1000000123, 119993, 100003, 998244353])
 def test_dlog_matches_sympy_discrete_log(p):
-    # the exponent of the 2-Sylow projection x^t, t = 1 mod 2^v, t = 0 mod odd
+    # the last exponent of an odd lift of x mod 8p is that of the 2-Sylow
+    # projection x^t mod p, t = 1 mod 2^v, t = 0 mod odd
     ntheory = pytest.importorskip("sympy.ntheory")
-    u = units_mod(p)
-    (g, n), = u.generators
+    u = units_mod(8 * p)
+    g, n = u.generators[2]
+    g %= p
     assert n == 1 << v2(p - 1) and ntheory.n_order(g, p) == n
     odd = (p - 1) // n
     t = odd * pow(odd, -1, n)
     for x in (2, 3, 5, p - 1, p - 2, 12345, 7 * p // 11, (p + 1) // 2):
-        (e,) = u.dlog(x)
+        e = u.dlog(x if x % 2 else x + p)[2]
         y = pow(x, t, p)
         assert e == ntheory.discrete_log(p, y, g), (p, x)
         assert pow(g, e, p) == y
@@ -287,18 +275,17 @@ def test_ray_quotient_matches_level_by_level_build():
 
 def test_top_level_dlog_reduces_to_every_level():
     # the generators -1, 5, g of the 2-Sylow of (Z/2^14 p)* reduce to those
-    # of (Z/2^k p)*; a generator of order 1 at level k (5 for k <= 2, -1 for
-    # k <= 1) drops out
+    # of (Z/2^k p)*
     primitive = [r for r in primes_up_to(200) if r % 8 in (3, 5)]
     for p in (3, 5, 11, 13, 101, 197):
         top = units_mod((1 << 14) * p)
         xs = [-1, *primitive, *range(1, top.modulus, top.modulus // 499)]
         top_exps = {x: top.dlog(x) for x in xs if math.gcd(x, top.modulus) == 1}
-        for k in range(0, 15):
+        for k in range(3, 15):
             level = units_mod((1 << k) * p)
-            orders = (2 if k >= 2 else 1, 1 << (k - 2) if k >= 3 else 1, 1 << v2(p - 1))
+            orders = (2, 1 << (k - 2), 1 << v2(p - 1))
             for x, exps in top_exps.items():
-                reduced = tuple(e % n for e, n in zip(exps, orders) if n > 1)
+                reduced = tuple(e % n for e, n in zip(exps, orders))
                 assert reduced == level.dlog(x), (p, k, x)
 
 
@@ -462,7 +449,7 @@ def test_reflection_examples():
     assert reflection_ranks(11, 13) == (1, 0)
 
 
-def test_reflection_ranks_from_report_rechecks_level_8():
+def test_reflection_ranks_from_report_rechecks_the_law():
     report = ray_quotient_report(5, 3, k_max=10)
     assert _reflection_ranks(report) == reflection_ranks(5, 3) == (1, 0)
 
@@ -471,14 +458,13 @@ def test_reflection_ranks_from_report_rechecks_level_8():
                           for k, s in report.per_level)
         return dataclasses.replace(report, per_level=per_level)
 
-    with pytest.raises(TheoremViolation, match="did not stabilize by k=8"):
-        _reflection_ranks(forged({7: (2,)}))
-    with pytest.raises(TheoremViolation, match="expected cyclic of order 4"):
-        _reflection_ranks(forged({7: (2, 2), 8: (2, 2)}))
-    # levels above 8 play no part in the ranks
-    assert _reflection_ranks(forged({9: (2,), 10: (8,)})) == (1, 0)
-    with pytest.raises(ValueError, match="below level 8"):
-        _reflection_ranks(ray_quotient_report(5, 3, k_max=7))
+    # every level k >= 4 is checked, the top level included
+    for entries in ({4: (2,)}, {7: (2,)}, {7: (2, 2), 8: (2, 2)}, {10: (8,)}):
+        message = rf"at level k={min(entries)} is .* expected cyclic of order 4"
+        with pytest.raises(TheoremViolation, match=message):
+            _reflection_ranks(forged(entries))
+    # level 3 is exempt
+    assert _reflection_ranks(forged({3: (2, 2)})) == (1, 0)
 
 
 def test_stabilization_across_levels():
